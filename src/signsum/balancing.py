@@ -34,7 +34,9 @@ from .core import (
     CoefficientVector,
     SignAssignment,
     VectorConfig,
+    combine,
     min_signed_norm,
+    sign_table,
 )
 from .errors import (
     DimensionMismatch,
@@ -67,7 +69,7 @@ class BalanceReport:
     case_taken: str | None = None
 
     def __post_init__(self):
-        if self.achieved_norm > self.guarantee + REPORT_SLACK:
+        if not self.achieved_norm <= self.guarantee + REPORT_SLACK:
             raise ValueError(
                 f"{self.algorithm}: achieved {self.achieved_norm!r} exceeds "
                 f"guarantee {self.guarantee!r}"
@@ -649,29 +651,11 @@ def approximation_falsifier(
         raise ValueError("budget must be >= 1")
     rows = config.as_array()
 
-    if n <= 20:
-        combos = (1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)).astype(float)
-        sums = combos @ rows
+    split = (n + 1) // 2
+    head, tail = sign_table(rows[:split]), sign_table(rows[split:])
 
-        def g(lam: np.ndarray) -> float:
-            diff = sums + lam @ rows
-            return float(np.min(np.einsum("ij,ij->i", diff, diff)))
-
-    else:  # streaming evaluation; slow but within the documented cap
-
-        def g(lam: np.ndarray) -> float:
-            offset = lam @ rows
-            signs = np.ones(n)
-            s = offset + rows.sum(axis=0)
-            best = float(s @ s)
-            for t in range(1, 1 << n):
-                j = (t & -t).bit_length() - 1
-                s = s - 2.0 * signs[j] * rows[j]
-                signs[j] = -signs[j]
-                val = float(s @ s)
-                if val < best:
-                    best = val
-            return best
+    def g(lam: np.ndarray) -> float:
+        return min(float(ns.min()) for ns in combine(head + lam @ rows, tail))
 
     rng = np.random.default_rng(seed)
     best_val = -1.0

@@ -398,7 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--construct", default=None, help="e.g. exponential:9, orthomult:2:1,3")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility and ignored")
     _common_flags(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -1,11 +1,14 @@
 """Domain types, validation, and the exact enumeration engine.
 
-The engine walks all 2^n sign assignments in reflected-binary (Gray) order,
-so consecutive assignments differ in exactly one sign and the running sum is
-updated in O(d) scalar operations per step.  Enumeration is organised in
-prefix blocks whose structure depends only on n, never on the worker count,
-which makes every integer field of the result bitwise reproducible no matter
-how the blocks are scheduled.
+The engine is a meet-in-the-middle split (Horowitz & Sahni, JACM 1974): the
+first and last halves of the vectors each get a table of all their partial
+signed sums, and every signed sum is one head entry plus one tail entry,
+formed in fixed-size numpy chunks in lexicographic order of the signs.
+Since ||-s|| = ||s||, only the half with eta_1 = +1 is formed and every
+count is doubled.  The precision policy supplies the array type and the
+chunk-level classification, so one kernel serves double, extended and
+interval arithmetic, and every field of the result depends only on the
+input.
 
 Classification at radius r is closed-ball with a tolerance band: an
 assignment is a hit when norm^2 <= r^2 + tol.  Assignments whose norm^2 lies
@@ -17,7 +20,6 @@ so callers can judge how trustworthy the hit count is.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,8 +30,9 @@ from .precision import PrecisionPolicy
 
 ENUMERATION_CAP = 30
 
-# Gray suffix width per block; the block split depends only on n.
-_SUFFIX_BITS = 14
+# Sums per chunk of the split-table kernel.  Small on purpose: extended and
+# interval chunks are object arrays of mpmath scalars.
+_CHUNK = 1 << 10
 
 _MODES = ("strict", "beck")
 
@@ -190,210 +193,68 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
         return tuple(acc)
 
 
-class _BlockResult:
-    __slots__ = ("hits", "margin", "best_order", "best_key", "best_signs", "best_ns")
+def sign_table(rows: np.ndarray) -> np.ndarray:
+    """All 2^k signed sums of the k rows, built by doubling.
 
-    def __init__(self, hits, margin, best_order, best_key, best_signs, best_ns):
-        self.hits = hits
-        self.margin = margin
-        self.best_order = best_order
-        self.best_key = best_key
-        self.best_signs = best_signs
-        self.best_ns = best_ns
-
-
-def _prefix_bits(n: int) -> int:
-    return max(0, n - _SUFFIX_BITS)
+    Row m of the result has eta_i = -1 iff bit k-1-i of m is set, so
+    ascending m is lexicographic order with +1 before -1.
+    """
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        table = np.concatenate([table + row, table - row])
+    return table
 
 
-def _block_signs(n: int, p: int, block: int) -> list[int]:
-    # Prefix bit i (most significant first) encodes the sign of index i,
-    # so ascending block numbers give lexicographically ascending prefixes.
-    signs = [1] * n
-    for i in range(p):
-        if (block >> (p - 1 - i)) & 1:
-            signs[i] = -1
-    return signs
+def combine(head: np.ndarray, tail: np.ndarray):
+    """Yield the norm^2 of every head[a] + tail[b] in ascending index
+    a * len(tail) + b, in chunks of _CHUNK sums.
+
+    Both lengths must be powers of two, as sign_table makes them; then every
+    chunk is full unless it is the only one.
+    """
+    per_chunk = max(1, _CHUNK // len(tail))
+    width = min(len(tail), _CHUNK)
+    # Component-major copies keep numpy's inner loops long and contiguous.
+    head, tail = head.T.copy(), tail.T.copy()
+    for a in range(0, head.shape[1], per_chunk):
+        for b in range(0, tail.shape[1], width):
+            sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
+            yield (sums * sums).sum(axis=0).ravel()
 
 
-def _run_block_double(vectors, n, d, p, block, radius_sq, tol):
-    signs = _block_signs(n, p, block)
-    doubled = [[2.0 * x for x in row] for row in vectors]
-    s = [0.0] * d
-    for i in range(n):
-        row = vectors[i]
-        if signs[i] > 0:
-            for k in range(d):
-                s[k] += row[k]
-        else:
-            for k in range(d):
-                s[k] -= row[k]
-
-    hits = 0
-    margin = None
-    best_order = None
-    best_key = None
-    best_signs = None
-    classify = radius_sq is not None
-    for t in range(1 << (n - p)):
-        if t:
-            j = p + ((t & -t).bit_length() - 1)
-            row = doubled[j]
-            if signs[j] > 0:
-                for k in range(d):
-                    s[k] -= row[k]
-            else:
-                for k in range(d):
-                    s[k] += row[k]
-            signs[j] = -signs[j]
-        ns = s[0] * s[0]
-        for k in range(1, d):
-            ns += s[k] * s[k]
-        if classify:
-            if ns <= radius_sq + tol:
-                hits += 1
-            gap = ns - radius_sq
-            if gap < 0.0:
-                gap = -gap
-            if gap > tol and (margin is None or gap < margin):
-                margin = gap
-        if best_order is None or ns < best_order:
-            best_order = ns
-            best_key = tuple(0 if x > 0 else 1 for x in signs)
-            best_signs = tuple(signs)
-        elif ns == best_order:
-            key = tuple(0 if x > 0 else 1 for x in signs)
-            if key < best_key:
-                best_key = key
-                best_signs = tuple(signs)
-    return _BlockResult(hits, margin, best_order, best_key, best_signs, best_order)
-
-
-def _run_block_generic(ctx, vectors, n, d, p, block, radius_sq, tol):
-    signs = _block_signs(n, p, block)
-    doubled = [[x + x for x in row] for row in vectors]
-    zero = ctx.scalar(0)
-    s = [zero] * d
-    for i in range(n):
-        row = vectors[i]
-        if signs[i] > 0:
-            for k in range(d):
-                s[k] = s[k] + row[k]
-        else:
-            for k in range(d):
-                s[k] = s[k] - row[k]
-
-    hits = 0
-    margin = None
-    best_order = None
-    best_key = None
-    best_signs = None
-    best_ns = None
-    classify = radius_sq is not None
-    for t in range(1 << (n - p)):
-        if t:
-            j = p + ((t & -t).bit_length() - 1)
-            row = doubled[j]
-            if signs[j] > 0:
-                for k in range(d):
-                    s[k] = s[k] - row[k]
-            else:
-                for k in range(d):
-                    s[k] = s[k] + row[k]
-            signs[j] = -signs[j]
-        ns = s[0] * s[0]
-        for k in range(1, d):
-            ns = ns + s[k] * s[k]
-        if classify:
-            if ctx.classify_hit(ns, radius_sq, tol):
-                hits += 1
-            gap = ctx.gap(ns, radius_sq)
-            if gap > float(tol) and (margin is None or gap < margin):
-                margin = gap
-        order = _order_value(ctx, ns)
-        if best_order is None or order < best_order:
-            best_order = order
-            best_key = tuple(0 if x > 0 else 1 for x in signs)
-            best_signs = tuple(signs)
-            best_ns = ns
-        elif order == best_order:
-            key = tuple(0 if x > 0 else 1 for x in signs)
-            if key < best_key:
-                best_key = key
-                best_signs = tuple(signs)
-                best_ns = ns
-    return _BlockResult(hits, margin, best_order, best_key, best_signs, best_ns)
-
-
-def _order_value(ctx, ns):
-    # Intervals are ordered by midpoint for min-tracking purposes.
-    if ctx.policy.mode == "interval":
-        return ctx.to_float(ns)
-    return ns
-
-
-def _walk(config: VectorConfig, policy: PrecisionPolicy, radius, workers: int, cap: int):
-    n, d = config.n, config.dim
+def _walk(config: VectorConfig, policy: PrecisionPolicy, radius, cap: int):
+    n = config.n
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
-    p = _prefix_bits(n)
     ctx = policy.context()
     with ctx.active():
-        if policy.mode == "double":
-            vectors = [[float(x) for x in row] for row in config.vectors]
-            radius_sq = None
-            tol = policy.classification_tolerance
-            if radius is not None:
-                r = float(radius)
-                radius_sq = r * r
-            runner = lambda block: _run_block_double(
-                vectors, n, d, p, block, radius_sq, tol
-            )
-        else:
-            vectors = [[ctx.scalar(x) for x in row] for row in config.vectors]
-            radius_sq = None
+        rows = ctx.array(config.vectors)
+        # ||-s|| = ||s||: enumerate only eta_1 = +1, the lexicographically
+        # first half, and count every sum twice.
+        split = (n + 1) // 2
+        head = rows[0] + sign_table(rows[1:split])
+        tail = sign_table(rows[split:])
+        if radius is not None:
+            r = ctx.scalar(radius)
+            radius_sq = r * r
             tol = ctx.scalar(policy.classification_tolerance)
+        hits = 0
+        margin = None
+        best_key = best_ns = best_index = None
+        for chunk, norm_sq in enumerate(combine(head, tail)):
             if radius is not None:
-                r = ctx.scalar(radius)
-                radius_sq = r * r
-            runner = lambda block: _run_block_generic(
-                ctx, vectors, n, d, p, block, radius_sq, tol
-            )
-
-        blocks = range(1 << p)
-        if workers > 1 and len(blocks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(runner, blocks))
-        else:
-            results = [runner(b) for b in blocks]
-
-        merged = results[0]
-        for res in results[1:]:
-            merged.hits += res.hits
-            if res.margin is not None and (merged.margin is None or res.margin < merged.margin):
-                merged.margin = res.margin
-            better = res.best_order < merged.best_order or (
-                res.best_order == merged.best_order and res.best_key < merged.best_key
-            )
-            if better:
-                merged.best_order = res.best_order
-                merged.best_key = res.best_key
-                merged.best_signs = res.best_signs
-                merged.best_ns = res.best_ns
-
-        # The negation of a minimiser is a minimiser with exactly the same
-        # true norm even when rounding hides the tie, so canonicalise toward
-        # the lexicographically smaller of the antipodal twins.
-        negated = tuple(-s for s in merged.best_signs)
-        if tuple(0 if s > 0 else 1 for s in negated) < merged.best_key:
-            merged.best_signs = negated
-            merged.best_key = tuple(0 if s > 0 else 1 for s in negated)
-
-        if policy.mode == "double":
-            min_norm = merged.best_order**0.5
-        else:
-            min_norm = ctx.sqrt(merged.best_ns)
-        return merged, min_norm, ctx
+                hits += 2 * int(np.count_nonzero(ctx.classify_hits(norm_sq, radius_sq, tol)))
+                gaps = ctx.gaps(norm_sq, radius_sq)
+                gaps = gaps[gaps > policy.classification_tolerance]
+                if gaps.size and (margin is None or gaps.min() < margin):
+                    margin = float(gaps.min())
+            keys = ctx.order_keys(norm_sq)
+            i = int(np.argmin(keys))
+            # Strict < keeps the earliest, hence lexicographically first, minimiser.
+            if best_key is None or keys[i] < best_key:
+                best_key, best_ns, best_index = keys[i], norm_sq[i], chunk * _CHUNK + i
+        signs = tuple(-1 if (best_index >> (n - 1 - i)) & 1 else 1 for i in range(n))
+        return hits, margin, ctx.sqrt(best_ns), SignAssignment(signs), ctx
 
 
 def enumerate_signed_sums(
@@ -406,22 +267,24 @@ def enumerate_signed_sums(
     """Count, exactly, the sign assignments whose signed sum lies in the
     closed ball of the given radius.
 
-    Raises TooLarge past the cap, and AmbiguousClassification in interval
-    mode when some assignment cannot be classified at the policy tolerance.
+    Raises OutOfRange for a negative or NaN radius, TooLarge past the cap,
+    and AmbiguousClassification in interval mode when some assignment cannot
+    be classified at the policy tolerance.  ``workers`` is accepted and
+    ignored; enumeration runs in the calling thread.
     """
     policy = policy or PrecisionPolicy.double()
-    if float(radius) < 0:
+    if not float(radius) >= 0:
         raise OutOfRange("radius must be nonnegative")
-    merged, min_norm, _ = _walk(config, policy, radius, workers, cap)
+    hits, margin, min_norm, argmin, _ = _walk(config, policy, radius, cap)
     total = 1 << config.n
     return EnumerationReport(
         total=total,
-        hits=merged.hits,
+        hits=hits,
         radius=radius,
-        probability=Fraction(merged.hits, total),
+        probability=Fraction(hits, total),
         min_norm=min_norm,
-        argmin=SignAssignment(merged.best_signs),
-        margin=0.0 if merged.margin is None else float(merged.margin),
+        argmin=argmin,
+        margin=0.0 if margin is None else margin,
     )
 
 
@@ -434,9 +297,9 @@ def min_signed_norm(
     """Exact minimiser of ||sum eta_i v_i|| over all 2^n assignments.
 
     Ties break toward the lexicographically smallest sign sequence with +1
-    ordered before -1, so results are reproducible across runs and worker
-    counts.
+    ordered before -1, so results are reproducible across runs.
+    ``workers`` is accepted and ignored.
     """
     policy = policy or PrecisionPolicy.double()
-    merged, min_norm, ctx = _walk(config, policy, None, workers, cap)
-    return ctx.to_float(min_norm), SignAssignment(merged.best_signs)
+    _, _, min_norm, argmin, ctx = _walk(config, policy, None, cap)
+    return ctx.to_float(min_norm), argmin

@@ -21,6 +21,7 @@ import contextlib
 from dataclasses import dataclass
 
 import mpmath
+import numpy as np
 from mpmath import iv, mp
 
 from .errors import AmbiguousClassification
@@ -107,9 +108,14 @@ class ScalarContext:
 
     All enumeration arithmetic must happen inside ``with ctx.active():`` so
     that mpmath's working precision is pinned for the duration.  Scalars
-    support the ordinary operators; the methods below cover the places where
-    the three backends genuinely differ.
+    support the ordinary operators, and ``array`` packs them into numpy
+    arrays (float64, or object arrays of mpmath scalars) that the
+    enumeration kernel adds and multiplies chunk by chunk.  The chunk-level
+    methods below default to the real-valued backends; interval mode
+    overrides them.
     """
+
+    dtype = object
 
     def __init__(self, policy: PrecisionPolicy):
         self.policy = policy
@@ -119,6 +125,10 @@ class ScalarContext:
 
     def scalar(self, x):
         raise NotImplementedError
+
+    def array(self, rows) -> np.ndarray:
+        """Rows of scalars as a 2-D array of this context's scalars."""
+        return np.array([[self.scalar(x) for x in row] for row in rows], dtype=self.dtype)
 
     def sqrt(self, x):
         raise NotImplementedError
@@ -130,16 +140,23 @@ class ScalarContext:
         """Decimal string that round-trips at this context's precision."""
         raise NotImplementedError
 
-    def classify_hit(self, norm_sq, radius_sq, tolerance) -> bool:
-        """True iff the assignment counts as a hit: norm^2 <= r^2 + tol."""
-        raise NotImplementedError
+    def classify_hits(self, norm_sq, radius_sq, tolerance) -> np.ndarray:
+        """Boolean array: which entries of a norm^2 chunk are hits,
+        norm^2 <= r^2 + tol."""
+        return norm_sq <= radius_sq + tolerance
 
-    def gap(self, norm_sq, radius_sq) -> float:
-        """|norm^2 - r^2| as a float, for margin bookkeeping."""
-        raise NotImplementedError
+    def gaps(self, norm_sq, radius_sq) -> np.ndarray:
+        """|norm^2 - r^2| for a norm^2 chunk as floats, for margin bookkeeping."""
+        return np.abs(norm_sq - radius_sq).astype(float)
+
+    def order_keys(self, norm_sq) -> np.ndarray:
+        """Values whose order ranks a norm^2 chunk for minimum tracking."""
+        return norm_sq
 
 
 class _DoubleContext(ScalarContext):
+    dtype = float
+
     def scalar(self, x):
         return float(x)
 
@@ -151,12 +168,6 @@ class _DoubleContext(ScalarContext):
 
     def decimal(self, x):
         return repr(float(x))
-
-    def classify_hit(self, norm_sq, radius_sq, tolerance):
-        return norm_sq <= radius_sq + tolerance
-
-    def gap(self, norm_sq, radius_sq):
-        return abs(norm_sq - radius_sq)
 
 
 class _ExtendedContext(ScalarContext):
@@ -175,12 +186,6 @@ class _ExtendedContext(ScalarContext):
     def decimal(self, x):
         digits = int(self.policy.bits * 0.30103) + 3
         return mpmath.nstr(mp.mpf(x), digits)
-
-    def classify_hit(self, norm_sq, radius_sq, tolerance):
-        return norm_sq <= radius_sq + tolerance
-
-    def gap(self, norm_sq, radius_sq):
-        return float(abs(norm_sq - radius_sq))
 
 
 class _IntervalContext(ScalarContext):
@@ -209,19 +214,26 @@ class _IntervalContext(ScalarContext):
         mid = x.mid if hasattr(x, "mid") else x
         return mpmath.nstr(mpmath.mpf(mid), digits)
 
-    def classify_hit(self, norm_sq, radius_sq, tolerance):
+    def classify_hits(self, norm_sq, radius_sq, tolerance):
         threshold = radius_sq + tolerance
-        if norm_sq.b <= threshold.a:
-            return True
-        if norm_sq.a > threshold.b:
-            return False
-        raise AmbiguousClassification(
-            f"norm-squared interval [{norm_sq.a}, {norm_sq.b}] straddles the "
-            f"radius threshold [{threshold.a}, {threshold.b}]"
-        )
+        return np.array([_certain_hit(x, threshold) for x in norm_sq], dtype=bool)
 
-    def gap(self, norm_sq, radius_sq):
-        return abs(float(mpmath.mpf(norm_sq.mid)) - float(mpmath.mpf(radius_sq.mid)))
+    def gaps(self, norm_sq, radius_sq):
+        return np.abs(self.order_keys(norm_sq) - self.to_float(radius_sq))
+
+    def order_keys(self, norm_sq):
+        return np.array([self.to_float(x) for x in norm_sq])
+
+
+def _certain_hit(norm_sq, threshold) -> bool:
+    if norm_sq.b <= threshold.a:
+        return True
+    if norm_sq.a > threshold.b:
+        return False
+    raise AmbiguousClassification(
+        f"norm-squared interval [{norm_sq.a}, {norm_sq.b}] straddles the "
+        f"radius threshold [{threshold.a}, {threshold.b}]"
+    )
 
 
 @contextlib.contextmanager

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ENUMERATION_CAP, VectorConfig, min_signed_norm
+from .core import ENUMERATION_CAP, VectorConfig, min_signed_norm, sign_table
 from .errors import TooLarge
 
 COUNTEREXAMPLE_MARGIN = 1e-6
@@ -59,10 +59,6 @@ class SearchResult:
     counterexample_candidate: bool
 
 
-def _sign_matrix(n: int) -> np.ndarray:
-    return (1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)).astype(float)
-
-
 def maximize_min_norm(spec: SearchSpec, cap: int = ENUMERATION_CAP) -> SearchResult:
     """Random-restart hill climbing over n unit vectors in R^d.
 
@@ -73,7 +69,7 @@ def maximize_min_norm(spec: SearchSpec, cap: int = ENUMERATION_CAP) -> SearchRes
     """
     if spec.n > cap:
         raise TooLarge(f"n = {spec.n} exceeds the enumeration cap {cap}")
-    combos = _sign_matrix(spec.n)
+    combos = sign_table(np.eye(spec.n))
     best_value = -1.0
     best_rows = None
     history: list[tuple[float, ...]] = []

@@ -1,10 +1,10 @@
 """Independent oracles used to cross-check the library.
 
 Everything here deliberately avoids the library's own code paths: the census
-walks assignments with itertools.product and sums vectors directly (no Gray
-code, no incremental updates), the chord oracle solves the circle-line
-intersection quadratic, and the polar oracle goes through an eigenvalue
-square root instead of the SVD.
+walks assignments with itertools.product and sums vectors directly (no
+partial-sum tables, no incremental updates), the chord oracle solves the
+circle-line intersection quadratic, and the polar oracle goes through an
+eigenvalue square root instead of the SVD.
 """
 
 import itertools

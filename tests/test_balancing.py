@@ -397,6 +397,12 @@ class TestFalsifier:
         brute = min_approx_error_sq(config, result.best_coefficients.coefficients)
         assert result.best_value == pytest.approx(brute, abs=1e-12)
 
+    def test_g_values_exact_across_chunks(self):
+        config = random_unit_config(3, 13, seed=4)
+        result = approximation_falsifier(config, 10.0, budget=1, seed=4)
+        brute = min_approx_error_sq(config, result.best_coefficients.coefficients)
+        assert result.best_value == pytest.approx(brute, abs=1e-12)
+
     @pytest.mark.parametrize("seed", range(20))
     def test_dichotomy_oblique_tuples_stay_approximable(self, seed):
         """(d+1)-tuples containing an oblique pair never certify
@@ -438,3 +444,7 @@ class TestSoundnessAgainstOracle:
     def test_report_invariant_enforced(self):
         with pytest.raises(ValueError):
             BalanceReport("bogus", SignAssignment((1,)), achieved_norm=2.0, guarantee=1.0)
+
+    def test_report_invariant_rejects_nan(self):
+        with pytest.raises(ValueError):
+            BalanceReport("bogus", SignAssignment((1,)), achieved_norm=math.nan, guarantee=1.0)

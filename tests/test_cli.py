@@ -62,6 +62,9 @@ class TestExitCodes:
     def test_too_large_is_validation(self, workdir):
         assert main(["falsify", "--construct", "random:2:40", "--r", "1", "--budget", "1"]) == 2
 
+    def test_nan_radius_is_validation(self, workdir):
+        assert main(["enumerate", "--construct", "exponential:5", "--r", "nan"]) == 2
+
 
 class TestEnumerateCommand:
     def test_orthonormal_probability_one(self, workdir):

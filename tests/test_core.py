@@ -93,6 +93,11 @@ class TestEnumerate:
         with pytest.raises(OutOfRange):
             enumerate_signed_sums(config, -0.5)
 
+    def test_nan_radius_rejected(self):
+        config = validate_config([(1, 0)])
+        with pytest.raises(OutOfRange):
+            enumerate_signed_sums(config, math.nan)
+
     def test_cap(self):
         config = random_unit_config(2, 8, seed=0)
         with pytest.raises(TooLarge):
@@ -119,16 +124,7 @@ class TestMinSignedNorm:
         assert value == pytest.approx(math.sqrt(3), abs=1e-15)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_census_cross_check(seed):
-    """Gray-code engine against the itertools oracle: hit count, minimum and
-    the argmin's achieved norm must agree; the argmin itself must be the
-    lex-smaller of its antipodal twins."""
-    rng = np.random.default_rng(seed)
-    d = int(rng.integers(1, 5))
-    n = int(rng.integers(1, 10))
-    config = random_unit_config(d, n, seed=seed + 500)
-    radius = float(rng.uniform(0.2, d + 1))
+def _cross_check(config, radius):
     report = enumerate_signed_sums(config, radius)
     hits, min_norm, argmin, norms = census(config, radius)
     assert report.hits == len(hits)
@@ -138,6 +134,46 @@ def test_census_cross_check(seed):
     value, signs = min_signed_norm(config)
     assert value == pytest.approx(min_norm, abs=1e-12)
     assert signs == report.argmin
+    return report, argmin
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_census_cross_check(seed):
+    """Enumeration kernel against the itertools oracle: hit count, minimum
+    and the argmin's achieved norm must agree; the argmin itself must be the
+    lex-smaller of its antipodal twins."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 5))
+    n = int(rng.integers(1, 10))
+    config = random_unit_config(d, n, seed=seed + 500)
+    _cross_check(config, float(rng.uniform(0.2, d + 1)))
+
+
+@pytest.mark.parametrize("n", [12, 13, 14])
+@pytest.mark.parametrize("seed", range(2))
+def test_census_cross_check_across_chunks(n, seed):
+    """As above at sizes whose 2^(n-1) kernel sums span several chunks."""
+    rng = np.random.default_rng([seed, n])
+    d = int(rng.integers(2, 5))
+    config = random_unit_config(d, n, seed=seed + 900)
+    _cross_check(config, float(rng.uniform(0.5, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        # first minimiser in the first chunk, exact ties in every later one
+        [(1.0, 0.0)] * 7 + [(0.0, 1.0)] * 7,
+        # eta_2 = -1 is forced, so the first minimiser sits in the second chunk
+        [(1.0, 0.0)] * 2 + [(0.0, 1.0)] * 10,
+    ],
+    ids=["7x(1,0)+7x(0,1)", "2x(1,0)+10x(0,1)"],
+)
+def test_exact_ties_across_chunks(rows):
+    """Integer sums tie exactly, so the lexicographically first minimiser
+    must win outright, whichever chunk the ties fall in."""
+    report, argmin = _cross_check(validate_config(rows), math.sqrt(2))
+    assert report.argmin.signs == argmin
 
 
 @pytest.mark.parametrize("seed", range(8))
