@@ -20,6 +20,7 @@ so callers can judge how trustworthy the hit count is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -106,8 +107,8 @@ class VectorConfig:
             raise ValueError("configuration must contain at least one vector")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-        if self.norm_tolerance < 0:
-            raise ValueError("norm tolerance must be nonnegative")
+        if not 0 <= self.norm_tolerance < math.inf:
+            raise ValueError("norm tolerance must be finite and nonnegative")
         for i, row in enumerate(self.vectors):
             if len(row) != self.dim:
                 raise DimensionMismatch(
@@ -115,10 +116,10 @@ class VectorConfig:
                 )
             norm = float(sum(float(x) * float(x) for x in row)) ** 0.5
             if self.mode == "strict":
-                if abs(norm - 1.0) > self.norm_tolerance:
+                if not abs(norm - 1.0) <= self.norm_tolerance:
                     raise NormViolation(i, norm)
             else:
-                if norm > 1.0 + self.norm_tolerance:
+                if not norm <= 1.0 + self.norm_tolerance:
                     raise NormViolation(i, norm, f"vector {i} has norm {norm!r} > 1")
 
     @property

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's own code paths: the census
 walks assignments with itertools.product and sums vectors directly (no
 partial-sum tables, no incremental updates), the chord oracle solves the
-circle-line intersection quadratic, and the polar oracle goes through an
-eigenvalue square root instead of the SVD.
+circle-line intersection quadratic, the polar oracle goes through an
+eigenvalue square root instead of the SVD, and the greedy oracle takes one
+vector at a time instead of one step of a batch of orders.
 """
 
 import itertools
@@ -41,6 +42,20 @@ def brute_min(config):
     """Minimum signed-sum norm by direct evaluation."""
     _, value, signs, _ = census(config, 0.0)
     return value, signs
+
+
+def greedy_pass(rows, lam, order):
+    """One greedy pass over ``order`` with the sign that keeps the running
+    sum shortest, ties to +1: returns signs by index (0 if unvisited) and
+    the final sum."""
+    signs = [0] * len(rows)
+    s = np.zeros(rows.shape[1])
+    for i in order:
+        plus = s + (lam[i] + 1.0) * rows[i]
+        minus = s + (lam[i] - 1.0) * rows[i]
+        signs[i] = 1 if float(plus @ plus) <= float(minus @ minus) else -1
+        s = plus if signs[i] == 1 else minus
+    return signs, s
 
 
 def min_approx_error_sq(config, lam):

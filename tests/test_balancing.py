@@ -5,6 +5,7 @@ import pytest
 
 from signsum.balancing import (
     BalanceReport,
+    _greedy_rows,
     approximate_point,
     approximation_falsifier,
     cluster_and_pair,
@@ -26,12 +27,13 @@ from signsum.core import SignAssignment, min_signed_norm, validate_config
 from signsum.errors import (
     NotOblique,
     ObliquePairPresent,
+    OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
     TransitivityViolation,
 )
 
-from oracles import brute_min, min_approx_error_sq
+from oracles import brute_min, greedy_pass, min_approx_error_sq
 
 
 def _short_vector_config(d, n, seed):
@@ -77,6 +79,39 @@ class TestGreedy:
         config = validate_config([(1, 0), (0, 1)])
         with pytest.raises(ValueError):
             greedy_signs(config, order=[0, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lambda_rejected(self, bad):
+        config = validate_config([(1, 0), (0, 1)])
+        for balancer in (greedy_signs, approximate_point):
+            with pytest.raises(OutOfRange, match="coefficient 0"):
+                balancer(config, [bad, 0.0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_batched_orders_match_single_orders(self, seed):
+        """Each pass of a batch is bitwise the pass run alone, and that is
+        the one-vector-at-a-time greedy."""
+        rng = np.random.default_rng([seed, 77])
+        d, n, k = int(rng.integers(2, 6)), int(rng.integers(1, 13)), int(rng.integers(1, 9))
+        config = _short_vector_config(d, n, seed + 6000) if seed % 2 else random_unit_config(d, n, seed + 6000)
+        rows = config.as_array()
+        lam = rng.uniform(-1, 1, n)
+        orders = np.array([rng.permutation(n) for _ in range(k)])
+        signs, sums = _greedy_rows(rows, lam, orders)
+        assert signs.shape == (k, n) and sums.shape == (k, d)
+        for j, order in enumerate(orders):
+            one_signs, one_sums = _greedy_rows(rows, lam, [order])
+            assert signs[j].tolist() == one_signs[0].tolist()
+            assert sums[j].tobytes() == one_sums[0].tobytes()
+            ref_signs, ref_sum = greedy_pass(rows, lam, order)
+            assert signs[j].tolist() == ref_signs
+            assert sums[j].tobytes() == ref_sum.tobytes()
+
+    def test_partial_order_leaves_unvisited_signs_zero(self):
+        rows = validate_config([(1, 0), (0, 1), (1, 0)]).as_array()
+        signs, sums = _greedy_rows(rows, np.zeros(3), [[2, 0]])
+        assert signs.tolist() == [[-1, 0, 1]]
+        assert sums.tolist() == [[0.0, 0.0]]
 
 
 class TestEliminate:
@@ -356,6 +391,40 @@ class TestParityBalance:
         exact, _ = min_signed_norm(config)
         assert report.achieved_norm == pytest.approx(exact, abs=1e-9)
         assert report.achieved_norm <= math.sqrt(2) + 1e-6  # open-question evidence
+
+    # (d, n, config seed, balance seed, exhaustive cap) -> signs, achieved norm.
+    # Every winner here is one of the randomly ordered greedy passes.
+    PINNED = [
+        ((3, 14, 1, 0, 12), (-1, 1, 1, 1, -1, 1, 1, -1, -1, 1, 1, -1, -1, 1), "0.215039874964249"),
+        ((4, 13, 3, 1, 12), (1, 1, 1, 1, 1, -1, 1, 1, 1, 1, -1, 1, 1), "0.5105154272375967"),
+        ((4, 9, 4, 2, 0), (-1, -1, 1, 1, 1, 1, 1, -1, -1), "0.770899105897851"),
+        ((5, 8, 5, 3, 0), (-1, 1, 1, -1, 1, 1, 1, -1), "0.9603408943053618"),
+        ((3, 10, 6, 4, 0), (-1, -1, 1, 1, 1, 1, -1, -1, 1, 1), "0.14348283040158677"),
+    ]
+
+    @pytest.mark.parametrize("spec, signs, achieved", PINNED)
+    def test_pinned_oblique_reports(self, spec, signs, achieved):
+        d, n, config_seed, seed, cap = spec
+        report = parity_balance(random_unit_config(d, n, seed=config_seed), seed=seed,
+                                exhaustive_cap=cap)
+        assert report.case_taken == "oblique"
+        assert report.signs.signs == signs
+        assert repr(report.achieved_norm) == achieved
+
+    @pytest.mark.parametrize("spec, signs, achieved", [
+        ((4, 9, 4), (1, 1, -1, 1, -1, 1, -1, -1, -1), "0.890419777527455"),
+        ((3, 14, 1), (1, -1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1), "0.4162849020565966"),
+    ])
+    def test_pair_first_greedy_only(self, spec, signs, achieved):
+        d, n, config_seed = spec
+        config = random_unit_config(d, n, seed=config_seed)
+        report = parity_balance(config, greedy_orders=1, exhaustive_cap=0)
+        assert report.case_taken == "oblique"
+        assert report.signs.signs == signs
+        assert repr(report.achieved_norm) == achieved
+        assert report.achieved_norm <= report.guarantee + 1e-9
+        rows = config.as_array()
+        assert report.achieved_norm == float(np.linalg.norm(np.array(signs, dtype=float) @ rows))
 
     def test_case_tag_for_oblique(self):
         config = random_unit_config(3, 4, seed=0)

@@ -53,6 +53,16 @@ class TestExitCodes:
         json.dump({"dim": 2, "vectors": [[0.5, 0.0]], "mode": "strict"}, open("bad.json", "w"))
         assert main(["enumerate", "--config", "bad.json", "--r", "1"]) == 2
 
+    @pytest.mark.parametrize("obj", [
+        {"dim": 2, "vectors": [[math.nan, 0.0], [1.0, 0.0]], "mode": "strict"},
+        {"dim": 2, "vectors": [[math.nan, 0.0], [1.0, 0.0]], "mode": "beck"},
+        {"dim": 2, "vectors": [[1.0, 0.0]], "mode": "strict", "norm_tolerance": math.inf},
+    ])
+    def test_non_finite_config_is_validation(self, workdir, capsys, obj):
+        json.dump(obj, open("nan.json", "w"))  # the json module writes NaN/Infinity
+        assert main(["enumerate", "--config", "nan.json", "--r", "1"]) == 2
+        assert "min_norm" not in capsys.readouterr().out
+
     def test_missing_input(self, workdir):
         assert main(["enumerate", "--r", "1"]) == 2
 

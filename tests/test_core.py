@@ -47,6 +47,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_config([])
 
+    @pytest.mark.parametrize("mode", ["strict", "beck"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vector_rejected(self, mode, bad):
+        with pytest.raises(NormViolation) as exc:
+            validate_config([(1, 0), (bad, 0)], mode)
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-9])
+    def test_bad_tolerance_rejected(self, tolerance):
+        with pytest.raises(ValueError):
+            validate_config([(1, 0)], "beck", tolerance)
+
     def test_never_renormalizes(self):
         config = validate_config([(0.6, 0.8)])
         assert config.vectors[0] == (0.6, 0.8)
