@@ -18,7 +18,9 @@ The toolbox, roughly in order of sophistication:
 * ``projection_split``   -- when an oblique pair u, w exists and the other
   vectors barely touch the plane spanned by u and w, balance the plane and
   its orthogonal complement separately.
-* ``parity_balance``     -- the combined dispatcher.
+* ``parity_balance``     -- the combined dispatcher: with an oblique pair it
+  answers with the exact minimiser up to n = EXHAUSTIVE_FALLBACK_CAP and
+  with the best of a heuristic portfolio above it.
 * ``approximation_falsifier`` -- adversarial coordinate ascent looking for a
   zonotope point whose best sign approximation is worse than a target.
 """
@@ -54,8 +56,8 @@ from .geometry import PlaneBasis, project_onto_plane
 
 REPORT_SLACK = 1e-9
 
-# Largest n at which the dispatcher simply enumerates all 2^n assignments as
-# one of its portfolio members.
+# Largest n at which the dispatcher's oblique branch enumerates all 2^n
+# assignments and answers with the exact minimiser instead of a portfolio.
 EXHAUSTIVE_FALLBACK_CAP = 12
 
 
@@ -185,21 +187,12 @@ def greedy_signs(config: VectorConfig, lam=None, order=None) -> BalanceReport:
 _FRACTIONAL_SNAP = 5e-13
 
 
-def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
-    """Drive coefficients to +/-1 along nullspace directions until at most k
-    fractional coordinates remain, preserving the weighted sum throughout.
-
-    Each round takes the d+1 lowest-index fractional coordinates, finds a
-    nontrivial null combination of their vectors, and scales it just far
-    enough that some coefficient lands exactly on +/-1 (smallest |scale|
-    wins, ties to the positive side).
-    """
-    d = config.dim
-    if k < d:
-        raise ValueError(f"k = {k} must be at least the dimension {d}")
-    rows = config.as_array()
-    values = _as_lambda(config, lam).copy()
-    fractional = [i for i in range(config.n) if abs(values[i]) < 1.0]
+def _eliminate_rows(rows: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
+    """Elimination on raw (n, d) rows; returns the rounded coefficients (a
+    new array) and the indices still fractional, at most k of them."""
+    d = rows.shape[1]
+    values = np.array(values, dtype=float)
+    fractional = [i for i in range(len(values)) if abs(values[i]) < 1.0]
 
     while len(fractional) > k:
         subset = fractional[: d + 1]
@@ -242,12 +235,24 @@ def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
             if abs(abs(values[i]) - 1.0) < _FRACTIONAL_SNAP:
                 values[i] = math.copysign(1.0, values[i])
         fractional = [i for i in fractional if abs(values[i]) < 1.0]
+    return values, fractional
 
-    coeffs = CoefficientVector(tuple(float(v) for v in values))
-    fixed = tuple(abs(v) == 1.0 for v in values)
+
+def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
+    """Drive coefficients to +/-1 along nullspace directions until at most k
+    fractional coordinates remain, preserving the weighted sum throughout.
+
+    Each round takes the d+1 lowest-index fractional coordinates, finds a
+    nontrivial null combination of their vectors, and scales it just far
+    enough that some coefficient lands exactly on +/-1 (smallest |scale|
+    wins, ties to the positive side).
+    """
+    if k < config.dim:
+        raise ValueError(f"k = {k} must be at least the dimension {config.dim}")
+    values, fractional = _eliminate_rows(config.as_array(), _as_lambda(config, lam), k)
     return EliminationResult(
-        coefficients=coeffs,
-        fixed_mask=fixed,
+        coefficients=CoefficientVector(tuple(values.tolist())),
+        fixed_mask=tuple((np.abs(values) == 1.0).tolist()),
         residual_indices=tuple(fractional),
     )
 
@@ -258,17 +263,12 @@ def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> tuple[list[int], np.
     n, d = rows.shape
     if n == 0:
         return [], np.zeros(d)
-    config = VectorConfig(dim=d, vectors=tuple(map(tuple, rows)), mode="beck",
-                          norm_tolerance=1e-9)
-    elim = eliminate(config, lam, k=d)
-    values = elim.coefficients.as_array()
-    signs = [0] * n
-    for i in range(n):
-        if elim.fixed_mask[i]:
-            signs[i] = -int(values[i])  # exact cancellation
+    values, residual = _eliminate_rows(rows, lam, d)
+    # Fixed coordinates take the opposite sign: exact cancellation.
+    signs = [0 if abs(v) < 1.0 else -int(v) for v in values.tolist()]
     # Largest fractional coordinate first: if some |lam| > delta survives,
     # the first step already banks a (1-delta)^2 <= 1-delta start.
-    residual = sorted(elim.residual_indices, key=lambda i: (-abs(values[i]), i))
+    residual.sort(key=lambda i: (-abs(values[i]), i))
     (greedy,), _ = _greedy_rows(rows, values, [residual])
     for i in residual:
         signs[i] = int(greedy[i])
@@ -541,13 +541,15 @@ def parity_balance(
     With n and d of equal parity nothing beats sqrt(d) in general, so the
     eliminate+greedy bound is returned with the parity flagged.  Otherwise
     the structure dichotomy dispatches: no oblique pair -> cluster-and-pair;
-    oblique pair present -> best of a portfolio (exhaustive enumeration at
-    desk scale, eliminate+greedy, pair-first greedy, projection split when
-    its preconditions hold, and a bundle of randomly ordered greedy passes;
-    all greedy orders run as one batched numpy pass).
+    oblique pair present -> the exact minimiser from min_signed_norm when
+    n <= exhaustive_cap, else the best of a portfolio (eliminate+greedy,
+    pair-first greedy, projection split when its preconditions hold, and a
+    bundle of randomly ordered greedy passes; all greedy orders run as one
+    batched numpy pass).
     The reported guarantee is sqrt(d - eps) with eps the strongest bound
-    certified by a branch that actually ran (never weaker than the
-    theoretical floor paper_epsilon(d)).
+    certified by the pair-first greedy bound, the projection split when it
+    runs, or the cluster bound (never weaker than the theoretical floor
+    paper_epsilon(d)); it does not depend on which answer was returned.
     """
     d = config.dim
     n = config.n
@@ -582,53 +584,48 @@ def parity_balance(
             case_taken="clustered",
         )
 
-    rows = config.as_array()
-    candidates: list[tuple[float, tuple[int, ...]]] = []
-    certificates = [eps_floor]
-
-    if n <= exhaustive_cap:
-        exact, argmin = min_signed_norm(config)
-        candidates.append((exact, argmin.signs))
-
-    inner = approximate_point(config)
-    candidates.append((inner.achieved_norm, inner.signs.signs))
-
     # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
-    # each later step adds at most 1 to the squared norm.  It runs in one
-    # batched pass with the random orders; a repeated sign row cannot win.
+    # each later step adds at most 1 to the squared norm; the exact
+    # minimiser can only do better.
+    rows = config.as_array()
     iu, iw = pair
-    inner_uw = abs(float(rows[iu] @ rows[iw]))
-    rng = np.random.default_rng([seed, 1])
-    orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
-    orders += [rng.permutation(n) for _ in range(greedy_orders - 1)]
-    distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
-    greedy = [(float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)), sgn) for sgn in distinct]
-    candidates.append(greedy[0])
-    pair_bound_sq = n - 2.0 * inner_uw
+    certificates = [eps_floor]
+    pair_bound_sq = n - 2.0 * abs(float(rows[iu] @ rows[iw]))
     if pair_bound_sq < d:
         certificates.append(d - pair_bound_sq)
-
+    split = None
     if d >= 3:
         try:
-            ps = projection_split(config, pair=pair, zeta=zeta)
-            candidates.append((ps.achieved_norm, ps.signs.signs))
-            eps_ps = d - ps.guarantee**2
+            split = projection_split(config, pair=pair, zeta=zeta)
+            eps_ps = d - split.guarantee**2
             if eps_ps > 0:
                 certificates.append(eps_ps)
         except (ProjectionTooLong, NotOblique):
             pass
-    candidates += greedy[1:]
 
-    best_norm, best_signs = candidates[0]
-    for norm, sgn in candidates[1:]:
-        if norm < best_norm:
-            best_norm, best_signs = norm, sgn
-    eps = max(certificates)
+    if n <= exhaustive_cap:
+        best_norm, best = min_signed_norm(config)
+    else:
+        # The pair-first order runs in one batched pass with the random
+        # orders; a repeated sign row cannot win.
+        rng = np.random.default_rng([seed, 1])
+        orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
+        orders += [rng.permutation(n) for _ in range(greedy_orders - 1)]
+        distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
+        greedy = [(float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)), sgn)
+                  for sgn in distinct]
+        inner = approximate_point(config)
+        candidates = [(inner.achieved_norm, inner.signs.signs), greedy[0]]
+        if split is not None:
+            candidates.append((split.achieved_norm, split.signs.signs))
+        # min keeps the first of equal norms, as a strict < scan would.
+        best_norm, best_signs = min(candidates + greedy[1:], key=lambda c: c[0])
+        best = SignAssignment(best_signs)
     return BalanceReport(
         algorithm="parity_balance",
-        signs=SignAssignment(best_signs),
+        signs=best,
         achieved_norm=best_norm,
-        guarantee=math.sqrt(d - eps),
+        guarantee=math.sqrt(d - max(certificates)),
         case_taken="oblique",
     )
 

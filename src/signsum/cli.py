@@ -150,14 +150,7 @@ def cmd_enumerate(args, argv) -> int:
 def cmd_construct(args, argv) -> int:
     policy = _policy(args)
     config = _parse_construct(args.kind, args.seed, policy)
-    obj = jsonio.config_to_obj(config, policy)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(obj, fh, indent=2)
-            fh.write("\n")
-    else:
-        json.dump(obj, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+    _emit_json(args, jsonio.config_to_obj(config, policy))
     return EXIT_OK
 
 

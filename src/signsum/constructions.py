@@ -5,6 +5,7 @@ random unit configurations for property tests."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,33 +125,19 @@ def construct_exponential(
     bits = policy.bits
     _margin_gate(n, float(c_frac), bits)
 
-    k = n // 2
-    if policy.mode == "double":
-        cw = float(c_frac)
-        one, zero = 1.0, 0.0
-        sqrt = math.sqrt
-    else:
-        with mp.workprec(bits):
-            cw = mp.mpf(c_frac.numerator) / mp.mpf(c_frac.denominator)
-            one, zero = mp.mpf(1), mp.mpf(0)
-        sqrt = mp.sqrt
-
+    double = policy.mode == "double"
     rows = []
-    if policy.mode == "double":
+    with contextlib.nullcontext() if double else mp.workprec(bits):
+        if double:
+            cw, one, zero, sqrt = float(c_frac), 1.0, 0.0, math.sqrt
+        else:
+            cw = mp.mpf(c_frac.numerator) / mp.mpf(c_frac.denominator)
+            one, zero, sqrt = mp.mpf(1), mp.mpf(0), mp.sqrt
         t = one
-        for _ in range(k):
+        for _ in range(n // 2):
             t = t * cw
             x = sqrt(one - t * t)
-            rows.append((x, t))
-            rows.append((x, t))
-    else:
-        with mp.workprec(bits):
-            t = one
-            for _ in range(k):
-                t = t * cw
-                x = sqrt(one - t * t)
-                rows.append((x, t))
-                rows.append((x, t))
+            rows += [(x, t), (x, t)]
     rows.append((one, zero))
     return VectorConfig(dim=2, vectors=tuple(rows))
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from mpmath import mp
 
 from .balancing import BalanceReport, FalsifierResult
-from .core import EnumerationReport, SignAssignment, VectorConfig
+from .core import EnumerationReport, VectorConfig
 from .precision import PrecisionPolicy
 from .search import SearchResult
 
@@ -42,7 +42,7 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
         if policy.mode == "double":
             rows.append(tuple(float(x) for x in row))
         else:
-            with policy.context().active():
+            with mp.workprec(policy.bits):
                 rows.append(tuple(mp.mpf(x) for x in row))
     return VectorConfig(
         dim=int(obj["dim"]),
@@ -122,7 +122,3 @@ def search_to_obj(result: SearchResult) -> dict:
         "exceeded_target": result.exceeded_target,
         "counterexample_candidate": result.counterexample_candidate,
     }
-
-
-def signs_from_obj(values) -> SignAssignment:
-    return SignAssignment(tuple(int(v) for v in values))

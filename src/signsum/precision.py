@@ -18,6 +18,7 @@ bits were requested to resolve.
 from __future__ import annotations
 
 import contextlib
+import math
 from dataclasses import dataclass
 
 import mpmath
@@ -55,8 +56,8 @@ class PrecisionPolicy:
             raise ValueError("extended mode requires at least 64 bits")
         if self.mode == "interval" and self.bits < 53:
             raise ValueError("interval mode requires at least 53 bits")
-        if self.classification_tolerance < 0:
-            raise ValueError("classification tolerance must be nonnegative")
+        if not (0 <= self.classification_tolerance < math.inf):
+            raise ValueError("classification tolerance must be finite and nonnegative")
 
     @classmethod
     def double(cls, tolerance: float = DOUBLE_TOLERANCE) -> "PrecisionPolicy":
@@ -212,7 +213,8 @@ class _IntervalContext(ScalarContext):
     def decimal(self, x):
         digits = int(self.policy.bits * 0.30103) + 3
         mid = x.mid if hasattr(x, "mid") else x
-        return mpmath.nstr(mpmath.mpf(mid), digits)
+        with mp.workprec(self.policy.bits):
+            return mpmath.nstr(mpmath.mpf(mid), digits)
 
     def classify_hits(self, norm_sq, radius_sq, tolerance):
         threshold = radius_sq + tolerance

@@ -42,7 +42,7 @@ class SearchSpec:
             raise ValueError("need d >= 1 and n >= 1")
         if self.restarts < 1 or self.steps < 1:
             raise ValueError("restarts and steps must be >= 1")
-        if self.step_init <= 0 or not 0 < self.step_decay <= 1:
+        if not (0 < self.step_init < math.inf) or not 0 < self.step_decay <= 1:
             raise ValueError("step sizes must be positive and decay in (0, 1]")
 
 

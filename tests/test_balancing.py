@@ -14,6 +14,7 @@ from signsum.balancing import (
     detect_oblique,
     eliminate,
     greedy_signs,
+    paper_epsilon,
     parity_balance,
     projection_split,
 )
@@ -137,6 +138,12 @@ class TestEliminate:
         assert sorted(values) == [-1.0, 0.0, 1.0]
         assert sum(values) == 0.0
         assert len(result.residual_indices) == 1
+
+    def test_fixed_mask_holds_bools(self):
+        config = random_unit_config(3, 9, seed=2)
+        result = eliminate(config, np.linspace(-0.9, 0.9, 9), k=3)
+        assert any(result.fixed_mask) and not all(result.fixed_mask)
+        assert all(type(fixed) is bool for fixed in result.fixed_mask)
 
     def test_k_below_dimension_rejected(self):
         config = validate_config([(1, 0), (0, 1)])
@@ -425,6 +432,29 @@ class TestParityBalance:
         assert report.achieved_norm <= report.guarantee + 1e-9
         rows = config.as_array()
         assert report.achieved_norm == float(np.linalg.norm(np.array(signs, dtype=float) @ rows))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_oblique_below_cap_is_exact_minimiser(self, d):
+        """At n <= exhaustive_cap the oblique branch answers with
+        min_signed_norm itself: the same signs and the same norm, bit for
+        bit, under the certified guarantee."""
+        rng = np.random.default_rng(d)
+        checked = 0
+        for seed in range(60):
+            n = int(rng.integers(2, 13))
+            if n % 2 == d % 2:
+                n = n - 1 if n == 12 else n + 1
+            config = random_unit_config(d, n, seed=1000 * d + seed)
+            report = parity_balance(config, seed=seed)
+            if report.case_taken != "oblique":
+                continue
+            exact, argmin = min_signed_norm(config)
+            assert report.signs == argmin
+            assert report.achieved_norm == exact
+            assert report.guarantee <= math.sqrt(d - paper_epsilon(d))
+            assert report.achieved_norm <= report.guarantee + 1e-9
+            checked += 1
+        assert checked >= 50
 
     def test_case_tag_for_oblique(self):
         config = random_unit_config(3, 4, seed=0)

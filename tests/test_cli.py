@@ -36,6 +36,31 @@ class TestConfigRoundTrip:
         back = config_from_obj(config_to_obj(config, policy), policy)
         assert back.vectors == config.vectors  # decimal strings are exact
 
+    def test_interval_identity(self):
+        policy = PrecisionPolicy.interval(256)
+        from signsum.constructions import construct_exponential
+
+        config = construct_exponential(13, policy=policy)
+        back = config_from_obj(config_to_obj(config, policy), policy)
+        assert back.vectors == config.vectors
+
+    def test_interval_decimals_carry_the_working_precision(self):
+        from mpmath import mp
+
+        from signsum.constructions import construct_tight_family
+        from signsum.core import enumerate_signed_sums
+        from signsum.jsonio import report_to_obj
+
+        config = construct_tight_family()
+        digits = {}
+        for policy in (PrecisionPolicy.interval(256), PrecisionPolicy.extended(256)):
+            report = enumerate_signed_sums(config, 1.0, policy)
+            digits[policy.mode] = report_to_obj(report, policy)["min_norm"]
+        with mp.workprec(256):
+            interval, extended = mp.mpf(digits["interval"]), mp.mpf(digits["extended"])
+            assert abs(interval - extended) <= 2**-250 * extended
+            assert abs(interval - mp.sqrt(2)) <= 2**-250
+
     def test_file_round_trip(self, workdir):
         config = random_unit_config(2, 4, seed=1)
         from signsum.jsonio import save_config
@@ -74,6 +99,17 @@ class TestExitCodes:
 
     def test_nan_radius_is_validation(self, workdir):
         assert main(["enumerate", "--construct", "exponential:5", "--r", "nan"]) == 2
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_is_validation(self, workdir, capsys, tolerance):
+        assert main(["enumerate", "--construct", "exponential:5", "--r", "1",
+                     "--tolerance", tolerance]) == 2
+        assert "hits" not in capsys.readouterr().err
+
+    def test_nan_step_init_is_validation(self, workdir, capsys):
+        assert main(["search", "--d", "2", "--n", "2", "--restarts", "1", "--steps", "5",
+                     "--step-init", "nan"]) == 2
+        assert "best_value" not in capsys.readouterr().err
 
 
 class TestEnumerateCommand:
