@@ -18,9 +18,10 @@ The toolbox, roughly in order of sophistication:
 * ``projection_split``   -- when an oblique pair u, w exists and the other
   vectors barely touch the plane spanned by u and w, balance the plane and
   its orthogonal complement separately.
-* ``parity_balance``     -- the combined dispatcher: with an oblique pair it
-  answers with the exact minimiser up to n = EXHAUSTIVE_FALLBACK_CAP and
-  with the best of a heuristic portfolio above it.
+* ``parity_balance``     -- the combined dispatcher: the branch (fallback,
+  clustered or oblique) sets the certified guarantee; the answer is the
+  exact minimiser up to n = EXHAUSTIVE_FALLBACK_CAP in every branch and the
+  best of the branch's heuristic portfolio above it.
 * ``approximation_falsifier`` -- adversarial coordinate ascent looking for a
   zonotope point whose best sign approximation is worse than a target.
 """
@@ -46,6 +47,7 @@ from .errors import (
     NotOblique,
     NumericalNullspaceFailure,
     ObliquePairPresent,
+    OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
     TooLarge,
@@ -56,9 +58,12 @@ from .geometry import PlaneBasis, project_onto_plane
 
 REPORT_SLACK = 1e-9
 
-# Largest n at which the dispatcher's oblique branch enumerates all 2^n
-# assignments and answers with the exact minimiser instead of a portfolio.
+# Largest n at which parity_balance enumerates all 2^n assignments and answers
+# with the exact minimiser; above it the branch's portfolio answers.
 EXHAUSTIVE_FALLBACK_CAP = 12
+
+# Greedy passes in the oblique portfolio: the pair-first order, then random ones.
+GREEDY_ORDERS = 32
 
 
 @dataclass(frozen=True)
@@ -529,104 +534,84 @@ def paper_epsilon(d: int) -> float:
     return 2.0**-100 * float(d) ** -80
 
 
-def parity_balance(
-    config: VectorConfig,
-    zeta: float | None = None,
-    seed: int = 0,
-    greedy_orders: int = 32,
-    exhaustive_cap: int = EXHAUSTIVE_FALLBACK_CAP,
-) -> BalanceReport:
+def _approximate_candidate(config: VectorConfig) -> tuple[float, tuple[int, ...]]:
+    inner = approximate_point(config)
+    return inner.achieved_norm, inner.signs.signs
+
+
+def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 0) -> BalanceReport:
     """Combined sign balancer for unit vectors.
 
-    With n and d of equal parity nothing beats sqrt(d) in general, so the
-    eliminate+greedy bound is returned with the parity flagged.  Otherwise
-    the structure dichotomy dispatches: no oblique pair -> cluster-and-pair;
-    oblique pair present -> the exact minimiser from min_signed_norm when
-    n <= exhaustive_cap, else the best of a portfolio (eliminate+greedy,
-    pair-first greedy, projection split when its preconditions hold, and a
-    bundle of randomly ordered greedy passes; all greedy orders run as one
-    batched numpy pass).
-    The reported guarantee is sqrt(d - eps) with eps the strongest bound
-    certified by the pair-first greedy bound, the projection split when it
-    runs, or the cluster bound (never weaker than the theoretical floor
-    paper_epsilon(d)); it does not depend on which answer was returned.
+    The branch sets the guarantee sqrt(d - eps), eps the strongest of its
+    certificates.  With n and d of equal parity nothing beats sqrt(d) in
+    general, so the fallback branch certifies exactly sqrt(d).  Otherwise
+    the structure dichotomy dispatches: no oblique pair -> the cluster
+    bound of cluster_and_pair; an oblique pair -> the pair-first greedy
+    bound and the projection split when its preconditions hold.  Both are
+    never weaker than the theoretical floor paper_epsilon(d).
+
+    The answer does not depend on the branch's certificates: it is the exact
+    minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, and
+    above it the first best of the branch's portfolio (fallback:
+    eliminate+greedy; clustered: cluster-and-pair, then eliminate+greedy;
+    oblique: eliminate+greedy, pair-first greedy, the projection split, then
+    randomly ordered greedy passes, all greedy orders in one batched pass).
     """
-    d = config.dim
-    n = config.n
+    d, n = config.dim, config.n
     zeta = default_zeta(d) if zeta is None else zeta
     eps_floor = paper_epsilon(d)
 
     if n % 2 == d % 2:
-        inner = approximate_point(config)
-        return BalanceReport(
-            algorithm="parity_balance",
-            signs=inner.signs,
-            achieved_norm=inner.achieved_norm,
-            guarantee=math.sqrt(d),
-            case_taken="fallback",
-        )
-
-    alpha = zeta**0.25
-    pair = detect_oblique(config, alpha)
-    if pair is None:
+        case, certificates = "fallback", [0.0]
+        portfolio = lambda: [_approximate_candidate(config)]
+    elif (pair := detect_oblique(config, zeta**0.25)) is None:
+        # cluster_and_pair runs at every n: its guarantee is the certificate,
+        # and its report check and precondition errors still apply.
         clustered = cluster_and_pair(config, zeta)
-        fallback = approximate_point(config)
-        best = clustered if clustered.achieved_norm <= fallback.achieved_norm else fallback
-        # The best of the two meets the cluster certificate (the clustered
-        # run never exceeds its own guarantee), so the dispatch-level bound
-        # stays sound even when a caller-chosen zeta weakens it past sqrt(d).
-        eps = max(eps_floor, d - clustered.guarantee**2)
-        return BalanceReport(
-            algorithm="parity_balance",
-            signs=best.signs,
-            achieved_norm=best.achieved_norm,
-            guarantee=math.sqrt(d - eps),
-            case_taken="clustered",
-        )
-
-    # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
-    # each later step adds at most 1 to the squared norm; the exact
-    # minimiser can only do better.
-    rows = config.as_array()
-    iu, iw = pair
-    certificates = [eps_floor]
-    pair_bound_sq = n - 2.0 * abs(float(rows[iu] @ rows[iw]))
-    if pair_bound_sq < d:
-        certificates.append(d - pair_bound_sq)
-    split = None
-    if d >= 3:
-        try:
-            split = projection_split(config, pair=pair, zeta=zeta)
-            eps_ps = d - split.guarantee**2
-            if eps_ps > 0:
-                certificates.append(eps_ps)
-        except (ProjectionTooLong, NotOblique):
-            pass
-
-    if n <= exhaustive_cap:
-        best_norm, best = min_signed_norm(config)
+        case, certificates = "clustered", [eps_floor, d - clustered.guarantee**2]
+        portfolio = lambda: [(clustered.achieved_norm, clustered.signs.signs),
+                             _approximate_candidate(config)]
     else:
-        # The pair-first order runs in one batched pass with the random
-        # orders; a repeated sign row cannot win.
-        rng = np.random.default_rng([seed, 1])
-        orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
-        orders += [rng.permutation(n) for _ in range(greedy_orders - 1)]
-        distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
-        greedy = [(float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)), sgn)
-                  for sgn in distinct]
-        inner = approximate_point(config)
-        candidates = [(inner.achieved_norm, inner.signs.signs), greedy[0]]
-        if split is not None:
-            candidates.append((split.achieved_norm, split.signs.signs))
+        # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
+        # each later step adds at most 1 to the squared norm; the exact
+        # minimiser can only do better.  A bound past sqrt(d) loses to the
+        # floor in max().
+        rows = config.as_array()
+        iu, iw = pair
+        case = "oblique"
+        certificates = [eps_floor, d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
+        splits = []
+        if d >= 3:
+            try:
+                split = projection_split(config, pair=pair, zeta=zeta)
+                certificates.append(d - split.guarantee**2)
+                splits.append((split.achieved_norm, split.signs.signs))
+            except (ProjectionTooLong, NotOblique):
+                pass
+
+        def portfolio():
+            # The pair-first order runs in one batched pass with the random
+            # orders; a repeated sign row cannot win.
+            rng = np.random.default_rng([seed, 1])
+            orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
+            orders += [rng.permutation(n) for _ in range(GREEDY_ORDERS - 1)]
+            distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
+            greedy = [(float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)), sgn)
+                      for sgn in distinct]
+            return [_approximate_candidate(config), greedy[0], *splits, *greedy[1:]]
+
+    if n <= EXHAUSTIVE_FALLBACK_CAP:
+        achieved, signs = min_signed_norm(config)
+    else:
         # min keeps the first of equal norms, as a strict < scan would.
-        best_norm, best_signs = min(candidates + greedy[1:], key=lambda c: c[0])
-        best = SignAssignment(best_signs)
+        achieved, best = min(portfolio(), key=lambda c: c[0])
+        signs = SignAssignment(best)
     return BalanceReport(
         algorithm="parity_balance",
-        signs=best,
-        achieved_norm=best_norm,
+        signs=signs,
+        achieved_norm=achieved,
         guarantee=math.sqrt(d - max(certificates)),
-        case_taken="oblique",
+        case_taken=case,
     )
 
 
@@ -653,6 +638,8 @@ def approximation_falsifier(
     n, d = config.n, config.dim
     if n > cap:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+    if not (-math.inf < r < math.inf):
+        raise OutOfRange(f"r must be finite, got {r!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rows = config.as_array()

@@ -133,7 +133,7 @@ def _load_input(args, policy: PrecisionPolicy):
 def cmd_enumerate(args, argv) -> int:
     policy = _policy(args)
     config, input_path = _load_input(args, policy)
-    report = enumerate_signed_sums(config, args.r, policy=policy, workers=args.workers)
+    report = enumerate_signed_sums(config, args.r, policy=policy)
     payload = {
         "manifest": _manifest(args, argv, input_path),
         "result": jsonio.report_to_obj(report, policy),
@@ -391,8 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--construct", default=None, help="e.g. exponential:9, orthomult:2:1,3")
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility and ignored")
     _common_flags(p)
     p.set_defaults(func=cmd_enumerate)
 

@@ -271,7 +271,8 @@ def enumerate_signed_sums(
     Raises OutOfRange for a negative or NaN radius, TooLarge past the cap,
     and AmbiguousClassification in interval mode when some assignment cannot
     be classified at the policy tolerance.  ``workers`` is accepted and
-    ignored; enumeration runs in the calling thread.
+    ignored, since enumeration runs in the calling thread; it stays because
+    the benchmark harness (``perfbench/workloads.py``) passes ``workers=1``.
     """
     policy = policy or PrecisionPolicy.double()
     if not float(radius) >= 0:
@@ -292,14 +293,12 @@ def enumerate_signed_sums(
 def min_signed_norm(
     config: VectorConfig,
     policy: PrecisionPolicy | None = None,
-    workers: int = 1,
     cap: int = ENUMERATION_CAP,
 ) -> tuple[float, SignAssignment]:
     """Exact minimiser of ||sum eta_i v_i|| over all 2^n assignments.
 
     Ties break toward the lexicographically smallest sign sequence with +1
     ordered before -1, so results are reproducible across runs.
-    ``workers`` is accepted and ignored.
     """
     policy = policy or PrecisionPolicy.double()
     _, _, min_norm, argmin, ctx = _walk(config, policy, None, cap)

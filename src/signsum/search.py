@@ -44,6 +44,8 @@ class SearchSpec:
             raise ValueError("restarts and steps must be >= 1")
         if not (0 < self.step_init < math.inf) or not 0 < self.step_decay <= 1:
             raise ValueError("step sizes must be positive and decay in (0, 1]")
+        if self.target is not None and not (-math.inf < self.target < math.inf):
+            raise ValueError(f"target must be finite, got {self.target!r}")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from signsum import balancing
 from signsum.balancing import (
     BalanceReport,
     _greedy_rows,
@@ -410,10 +411,10 @@ class TestParityBalance:
     ]
 
     @pytest.mark.parametrize("spec, signs, achieved", PINNED)
-    def test_pinned_oblique_reports(self, spec, signs, achieved):
+    def test_pinned_oblique_reports(self, spec, signs, achieved, monkeypatch):
         d, n, config_seed, seed, cap = spec
-        report = parity_balance(random_unit_config(d, n, seed=config_seed), seed=seed,
-                                exhaustive_cap=cap)
+        monkeypatch.setattr(balancing, "EXHAUSTIVE_FALLBACK_CAP", cap)
+        report = parity_balance(random_unit_config(d, n, seed=config_seed), seed=seed)
         assert report.case_taken == "oblique"
         assert report.signs.signs == signs
         assert repr(report.achieved_norm) == achieved
@@ -422,10 +423,12 @@ class TestParityBalance:
         ((4, 9, 4), (1, 1, -1, 1, -1, 1, -1, -1, -1), "0.890419777527455"),
         ((3, 14, 1), (1, -1, 1, 1, 1, 1, 1, -1, -1, 1, 1, -1, 1, -1), "0.4162849020565966"),
     ])
-    def test_pair_first_greedy_only(self, spec, signs, achieved):
+    def test_pair_first_greedy_only(self, spec, signs, achieved, monkeypatch):
         d, n, config_seed = spec
         config = random_unit_config(d, n, seed=config_seed)
-        report = parity_balance(config, greedy_orders=1, exhaustive_cap=0)
+        monkeypatch.setattr(balancing, "GREEDY_ORDERS", 1)
+        monkeypatch.setattr(balancing, "EXHAUSTIVE_FALLBACK_CAP", 0)
+        report = parity_balance(config)
         assert report.case_taken == "oblique"
         assert report.signs.signs == signs
         assert repr(report.achieved_norm) == achieved
@@ -435,26 +438,43 @@ class TestParityBalance:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_oblique_below_cap_is_exact_minimiser(self, d):
-        """At n <= exhaustive_cap the oblique branch answers with
+        """At n <= EXHAUSTIVE_FALLBACK_CAP every branch answers with
         min_signed_norm itself: the same signs and the same norm, bit for
-        bit, under the certified guarantee."""
+        bit, under the branch's certified guarantee.  The inputs are random
+        configurations of mismatched parity (mostly oblique), of matched
+        parity (fallback) and orthonormal multiplicities of mismatched
+        parity (clustered), perturbed as in the balance benchmark but by
+        sigma = 0.01: at 0.02 some d = 4, 5 inputs hold an oblique pair."""
         rng = np.random.default_rng(d)
-        checked = 0
+        cases = {"oblique": 0, "fallback": 0, "clustered": 0}
         for seed in range(60):
             n = int(rng.integers(2, 13))
             if n % 2 == d % 2:
                 n = n - 1 if n == 12 else n + 1
-            config = random_unit_config(d, n, seed=1000 * d + seed)
-            report = parity_balance(config, seed=seed)
-            if report.case_taken != "oblique":
-                continue
-            exact, argmin = min_signed_norm(config)
-            assert report.signs == argmin
-            assert report.achieved_norm == exact
-            assert report.guarantee <= math.sqrt(d - paper_epsilon(d))
-            assert report.achieved_norm <= report.guarantee + 1e-9
-            checked += 1
-        assert checked >= 50
+            jitter = np.random.default_rng([d, seed])
+            rows = np.repeat(np.eye(d), jitter.multinomial(n, [1.0 / d] * d), axis=0)
+            rows += 0.01 * jitter.standard_normal(rows.shape)
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            inputs = [
+                (random_unit_config(d, n, seed=1000 * d + seed), None),
+                (random_unit_config(d, n - 1, seed=2000 * d + seed), "fallback"),
+                (validate_config(rows[jitter.permutation(n)]), "clustered"),
+            ]
+            for config, case in inputs:
+                report = parity_balance(config, seed=seed)
+                exact, argmin = min_signed_norm(config)
+                assert report.signs == argmin
+                assert report.achieved_norm == exact
+                assert report.achieved_norm <= report.guarantee + 1e-9
+                if case is not None:
+                    assert report.case_taken == case
+                if report.case_taken == "fallback":
+                    assert report.guarantee == math.sqrt(d)
+                else:
+                    assert report.guarantee <= math.sqrt(d - paper_epsilon(d))
+                cases[report.case_taken] += 1
+        assert cases["oblique"] >= 50
+        assert cases["fallback"] == 60 and cases["clustered"] >= 60
 
     def test_case_tag_for_oblique(self):
         config = random_unit_config(3, 4, seed=0)
@@ -489,6 +509,11 @@ class TestFalsifier:
         config = validate_config([(1.0, 0.0), (delta, math.sqrt(1 - delta * delta))])
         result = approximation_falsifier(config, 2 - delta * delta, budget=60, seed=2)
         assert result.witness is None
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_non_finite_r_rejected(self, r):
+        with pytest.raises(OutOfRange):
+            approximation_falsifier(validate_config([(1, 0), (0, 1)]), r, budget=1)
 
     def test_found_values_are_true_g_values(self):
         config = random_unit_config(2, 4, seed=8)

@@ -111,6 +111,17 @@ class TestExitCodes:
                      "--step-init", "nan"]) == 2
         assert "best_value" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["falsify", "--construct", "random:2:3", "--r", "nan"],
+        ["falsify", "--construct", "random:2:3", "--r", "inf"],
+        ["search", "--d", "2", "--n", "2", "--restarts", "1", "--steps", "5", "--target", "nan"],
+    ])
+    def test_non_finite_threshold_is_validation(self, workdir, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "falsifier:" not in err and "best_value" not in err
+
 
 class TestEnumerateCommand:
     def test_orthonormal_probability_one(self, workdir):
@@ -161,11 +172,11 @@ class TestEnumerateCommand:
         assert sorted(obj) == ["command", "input_sha256", "precision", "seed",
                                "timestamp_utc", "version"]
 
-    def test_worker_flag_changes_nothing(self, workdir):
-        base = ["enumerate", "--construct", "random:3:16", "--r", "1.8", "--seed", "3"]
-        assert main(base + ["--out", "w1.json"]) == 0
-        assert main(base + ["--workers", "4", "--out", "w4.json"]) == 0
-        assert json.load(open("w1.json"))["result"] == json.load(open("w4.json"))["result"]
+    def test_worker_flag_is_rejected(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["enumerate", "--construct", "random:3:4", "--r", "1.8", "--workers", "4"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestBalanceCommand:

@@ -22,6 +22,9 @@ class TestSpec:
             SearchSpec(d=2, n=2, step_init=0.0)
         with pytest.raises(ValueError):
             SearchSpec(d=2, n=2, step_decay=1.5)
+        for target in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                SearchSpec(d=2, n=2, target=target)
 
     def test_cap(self):
         with pytest.raises(TooLarge):
