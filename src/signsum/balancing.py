@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    ENUMERATION_CAP,
     CoefficientVector,
     SignAssignment,
     VectorConfig,
+    check_enumerable,
     combine,
     min_signed_norm,
     sign_table,
@@ -50,7 +50,6 @@ from .errors import (
     OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
-    TooLarge,
     TooManyClusters,
     TransitivityViolation,
 )
@@ -167,7 +166,7 @@ def _greedy_rows(rows: np.ndarray, lam: np.ndarray, orders) -> tuple[np.ndarray,
     return signs, s
 
 
-def greedy_signs(config: VectorConfig, lam=None, order=None) -> BalanceReport:
+def greedy_signs(config: VectorConfig, lam=None) -> BalanceReport:
     """One pass over the vectors, each sign chosen to keep the running sum
     shortest (ties to +1).
 
@@ -176,10 +175,7 @@ def greedy_signs(config: VectorConfig, lam=None, order=None) -> BalanceReport:
     """
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
-    idx = list(range(config.n)) if order is None else list(order)
-    if sorted(idx) != list(range(config.n)):
-        raise ValueError("order must be a permutation of range(n)")
-    (signs,), _ = _greedy_rows(rows, lam_arr, [idx])
+    (signs,), _ = _greedy_rows(rows, lam_arr, [range(config.n)])
     achieved = float(np.linalg.norm((lam_arr + signs) @ rows))
     return BalanceReport(
         algorithm="greedy",
@@ -377,6 +373,10 @@ def cluster_vectors(config: VectorConfig, zeta: float) -> Clustering:
     return Clustering(clusters, representatives, tuple(orientation))
 
 
+def _cluster_guarantee(d: int, zeta: float) -> float:
+    return math.sqrt(d - 1 + 2.0 * d * zeta**0.25)
+
+
 def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> BalanceReport:
     """Balance a configuration with no oblique pair and n, d of opposite
     parity: near-parallel vectors are paired with opposite signs (their
@@ -436,12 +436,11 @@ def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> Balance
             signs[a] = -eta * clustering.orientation[a]
 
     achieved = float(np.linalg.norm(np.array(signs) @ rows))
-    guarantee = math.sqrt(d - 1 + 2.0 * d * zeta**0.25)
     return BalanceReport(
         algorithm="cluster_pair",
         signs=SignAssignment(tuple(signs)),
         achieved_norm=achieved,
-        guarantee=guarantee,
+        guarantee=_cluster_guarantee(d, zeta),
         case_taken="clustered",
     )
 
@@ -565,12 +564,15 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         case, certificates = "fallback", [0.0]
         portfolio = lambda: [_approximate_candidate(config)]
     elif (pair := detect_oblique(config, zeta**0.25)) is None:
-        # cluster_and_pair runs at every n: its guarantee is the certificate,
-        # and its report check and precondition errors still apply.
-        clustered = cluster_and_pair(config, zeta)
-        case, certificates = "clustered", [eps_floor, d - clustered.guarantee**2]
-        portfolio = lambda: [(clustered.achieved_norm, clustered.signs.signs),
-                             _approximate_candidate(config)]
+        # The cluster bound is closed form; cluster_vectors still raises when
+        # its preconditions fail, and cluster_and_pair runs only above the cap.
+        cluster_vectors(config, zeta)
+        case, certificates = "clustered", [eps_floor, d - _cluster_guarantee(d, zeta)**2]
+
+        def portfolio():
+            clustered = cluster_and_pair(config, zeta)
+            return [(clustered.achieved_norm, clustered.signs.signs),
+                    _approximate_candidate(config)]
     else:
         # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
         # each later step adds at most 1 to the squared norm; the exact
@@ -624,7 +626,6 @@ def approximation_falsifier(
     r: float,
     budget: int = 100,
     seed: int = 0,
-    cap: int = ENUMERATION_CAP,
 ) -> FalsifierResult:
     """Hunt for coefficients lam whose best sign approximation is bad:
     maximise g(lam) = min_eta ||sum (lam_i + eta_i) v_i||^2 by coordinate
@@ -636,8 +637,7 @@ def approximation_falsifier(
     d-dimensional sub-parallelotopes (the regions that cover the zonotope).
     """
     n, d = config.n, config.dim
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+    check_enumerable(n)  # before the half tables are built
     if not (-math.inf < r < math.inf):
         raise OutOfRange(f"r must be finite, got {r!r}")
     if budget < 1:

@@ -32,20 +32,27 @@ EXIT_VALIDATION = 2
 EXIT_PRECISION = 3
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--precision", default="double",
-                        help="double | ext:<bits> | interval[:<bits>]")
-    parser.add_argument("--tolerance", type=float, default=None,
-                        help="classification tolerance override")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None, help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+_SHARED_FLAGS = {
+    "precision": dict(default="double", help="double | ext:<bits> | interval[:<bits>]"),
+    "tolerance": dict(type=float, default=None, help="classification tolerance override"),
+    "seed": dict(type=int, default=0),
+    "out": dict(default=None, help="output file (default: stdout)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+}
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *names: str):
+    """Add the shared flags a subcommand reads; it gets no others."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _policy(args) -> PrecisionPolicy:
-    policy = PrecisionPolicy.parse(args.precision)
-    if args.tolerance is not None:
-        policy = PrecisionPolicy(policy.mode, policy.bits, args.tolerance)
+    """The subcommand's arithmetic; one without --precision computes in double."""
+    policy = PrecisionPolicy.parse(getattr(args, "precision", "double"))
+    tolerance = getattr(args, "tolerance", None)
+    if tolerance is not None:
+        policy = PrecisionPolicy(policy.mode, policy.bits, tolerance)
     return policy
 
 
@@ -118,15 +125,11 @@ def _emit_rows(args, header: list[str], rows: list[list]):
         _emit_json(args, {"columns": header, "rows": rows})
 
 
-def _parse_construct(spec: str, seed: int, policy: PrecisionPolicy):
-    return ConstructionSpec.from_string(spec, seed=seed).build(policy)
-
-
 def _load_input(args, policy: PrecisionPolicy):
     if getattr(args, "config", None):
         return jsonio.load_config(args.config, policy), args.config
     if getattr(args, "construct", None):
-        return _parse_construct(args.construct, args.seed, policy), None
+        return ConstructionSpec.from_string(args.construct, seed=args.seed).build(policy), None
     raise ValueError("provide --config FILE or --construct SPEC")
 
 
@@ -149,7 +152,7 @@ def cmd_enumerate(args, argv) -> int:
 
 def cmd_construct(args, argv) -> int:
     policy = _policy(args)
-    config = _parse_construct(args.kind, args.seed, policy)
+    config = ConstructionSpec.from_string(args.kind, seed=args.seed).build(policy)
     _emit_json(args, jsonio.config_to_obj(config, policy))
     return EXIT_OK
 
@@ -159,26 +162,34 @@ def _load_lambda(spec: str | None, n: int):
         return None
     with open(spec, "r", encoding="utf-8") as fh:
         values = json.load(fh)
+    if not isinstance(values, list) or not all(isinstance(v, (int, float, str)) for v in values):
+        raise ValueError(f"lambda file {spec} must hold a JSON list of numbers")
     if len(values) != n:
         raise ValueError(f"lambda file holds {len(values)} values for n = {n}")
     return [float(v) for v in values]
 
 
+_LAMBDA_ALGOS = ("greedy", "eliminate")
+
+
 def cmd_balance(args, argv) -> int:
+    algo = args.algo
+    # Refuse a flag the chosen algorithm would ignore.
+    if args.lam is not None and algo not in _LAMBDA_ALGOS:
+        raise ValueError(f"--lambda applies only to --algo greedy or eliminate, not {algo}")
+    if args.zeta is not None and algo in _LAMBDA_ALGOS:
+        raise ValueError(f"--zeta applies only to --algo cluster, parity or auto, not {algo}")
     policy = _policy(args)
     config, input_path = _load_input(args, policy)
-    lam = _load_lambda(getattr(args, "lam", None), config.n)
-    algo = args.algo
+    lam = _load_lambda(args.lam, config.n)
     if algo == "greedy":
         report = balancing.greedy_signs(config, lam)
     elif algo == "eliminate":
         report = balancing.approximate_point(config, lam)
     elif algo == "cluster":
         report = balancing.cluster_and_pair(config, zeta=args.zeta)
-    elif algo in ("parity", "auto"):
+    else:  # parity, auto
         report = balancing.parity_balance(config, zeta=args.zeta, seed=args.seed)
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
     payload = {
         "manifest": _manifest(args, argv, input_path),
         "result": jsonio.balance_to_obj(report),
@@ -391,12 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--construct", default=None, help="e.g. exponential:9, orthomult:2:1,3")
     p.add_argument("--r", type=float, required=True)
-    _common_flags(p)
+    _shared_flags(p, "precision", "tolerance", "seed", "out")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("construct", help="write a configuration file")
     p.add_argument("kind", help="exponential:N[:c], orthomult:D:m1,m2..., tight, random:D:N")
-    _common_flags(p)
+    _shared_flags(p, "precision", "seed", "out")
     p.set_defaults(func=cmd_construct)
 
     p = sub.add_parser("balance", help="run a sign balancer")
@@ -404,9 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construct", default=None)
     p.add_argument("--algo", choices=("greedy", "eliminate", "cluster", "parity", "auto"),
                    default="auto")
-    p.add_argument("--lambda", dest="lam", default=None, help="JSON file of coefficients, or 'zeros'")
-    p.add_argument("--zeta", type=float, default=None)
-    _common_flags(p)
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="JSON file of coefficients, or 'zeros' (greedy, eliminate)")
+    p.add_argument("--zeta", type=float, default=None, help="(cluster, parity, auto)")
+    _shared_flags(p, "precision", "seed", "out")
     p.set_defaults(func=cmd_balance)
 
     p = sub.add_parser("falsify", help="search for a badly approximable zonotope point")
@@ -414,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--construct", default=None)
     p.add_argument("--r", type=float, required=True, help="squared-distance target")
     p.add_argument("--budget", type=int, default=100)
-    _common_flags(p)
+    _shared_flags(p, "precision", "seed", "out")
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("search", help="maximise the minimum signed-sum norm")
@@ -425,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-init", type=float, default=0.25)
     p.add_argument("--step-decay", type=float, default=0.998)
     p.add_argument("--target", type=float, default=None)
-    _common_flags(p)
+    _shared_flags(p, "seed", "out")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("sweep", help="parity table over a (d, n) grid")
@@ -433,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--restarts", type=int, default=12)
     p.add_argument("--steps", type=int, default=1500)
-    _common_flags(p)
+    _shared_flags(p, "seed", "out", "format")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("decay", help="hit probabilities per family and n")
@@ -441,11 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", default="3,5,7,9")
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--d", type=int, default=2)
-    _common_flags(p)
+    _shared_flags(p, *_SHARED_FLAGS)
     p.set_defaults(func=cmd_decay)
 
     p = sub.add_parser("selftest", help="quick library self-checks")
-    _common_flags(p)
+    _shared_flags(p, "seed")
     p.set_defaults(func=cmd_selftest)
 
     return parser

@@ -54,21 +54,27 @@ class ConstructionSpec:
                 raise ValueError(f"{self.kind} construction requires {field_name}")
 
     @classmethod
-    def from_string(cls, text: str, seed: int = 0, precision: PrecisionPolicy | None = None):
+    def from_string(cls, text: str, seed: int = 0):
         """Parse CLI specs: ``exponential:N[:c]``, ``orthomult:D:m1,m2,...``,
         ``tight``, ``random:D:N``."""
         parts = text.split(":")
         head = parts[0]
-        if head == "exponential":
-            c = Fraction(parts[2]) if len(parts) > 2 else DEFAULT_DECAY
-            return cls("exponential", n=int(parts[1]), c=c, precision=precision)
-        if head in ("orthomult", "orthonormal_multiplicity"):
-            mults = tuple(int(x) for x in parts[2].split(","))
-            return cls("orthonormal_multiplicity", d=int(parts[1]), multiplicities=mults)
-        if head in ("tight", "tight_family"):
-            return cls("tight_family", precision=precision)
-        if head in ("random", "random_unit"):
-            return cls("random_unit", d=int(parts[1]), n=int(parts[2]), seed=seed)
+        try:
+            if head == "exponential":
+                c = Fraction(parts[2]) if len(parts) > 2 else DEFAULT_DECAY
+                return cls("exponential", n=int(parts[1]), c=c)
+            if head in ("orthomult", "orthonormal_multiplicity"):
+                mults = tuple(int(x) for x in parts[2].split(","))
+                return cls("orthonormal_multiplicity", d=int(parts[1]), multiplicities=mults)
+            if head in ("tight", "tight_family"):
+                return cls("tight_family")
+            if head in ("random", "random_unit"):
+                return cls("random_unit", d=int(parts[1]), n=int(parts[2]), seed=seed)
+        except (IndexError, ZeroDivisionError):  # a missing field, or c = x/0
+            raise ValueError(
+                f"malformed construction spec {text!r}; expected exponential:N[:c], "
+                "orthomult:D:m1,m2,..., tight or random:D:N"
+            ) from None
         raise ValueError(f"unknown construction kind {head!r}")
 
     def build(self, policy: PrecisionPolicy | None = None) -> VectorConfig:
@@ -205,7 +211,7 @@ def construct_tight_family(
     return config
 
 
-def random_unit_config(d: int, n: int, seed: int, mode: str = "strict") -> VectorConfig:
+def random_unit_config(d: int, n: int, seed: int) -> VectorConfig:
     """n independent uniform unit vectors in R^d (Gaussian normalisation),
     deterministic per seed."""
     if d < 1 or n < 1:
@@ -218,4 +224,4 @@ def random_unit_config(d: int, n: int, seed: int, mode: str = "strict") -> Vecto
         rows[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(rows, axis=1)
     rows /= norms[:, None]
-    return VectorConfig(dim=d, vectors=tuple(tuple(map(float, r)) for r in rows), mode=mode)
+    return VectorConfig(dim=d, vectors=tuple(tuple(map(float, r)) for r in rows))

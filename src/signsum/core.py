@@ -223,10 +223,15 @@ def combine(head: np.ndarray, tail: np.ndarray):
             yield (sums * sums).sum(axis=0).ravel()
 
 
-def _walk(config: VectorConfig, policy: PrecisionPolicy, radius, cap: int):
+def check_enumerable(n: int):
+    """Raise TooLarge when n is past ENUMERATION_CAP, read at call time."""
+    if n > ENUMERATION_CAP:
+        raise TooLarge(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
+
+
+def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
     n = config.n
-    if n > cap:
-        raise TooLarge(f"n = {n} exceeds the enumeration cap {cap}")
+    check_enumerable(n)
     ctx = policy.context()
     with ctx.active():
         rows = ctx.array(config.vectors)
@@ -263,7 +268,6 @@ def enumerate_signed_sums(
     radius,
     policy: PrecisionPolicy | None = None,
     workers: int = 1,
-    cap: int = ENUMERATION_CAP,
 ) -> EnumerationReport:
     """Count, exactly, the sign assignments whose signed sum lies in the
     closed ball of the given radius.
@@ -277,7 +281,7 @@ def enumerate_signed_sums(
     policy = policy or PrecisionPolicy.double()
     if not float(radius) >= 0:
         raise OutOfRange("radius must be nonnegative")
-    hits, margin, min_norm, argmin, _ = _walk(config, policy, radius, cap)
+    hits, margin, min_norm, argmin, _ = _walk(config, policy, radius)
     total = 1 << config.n
     return EnumerationReport(
         total=total,
@@ -291,9 +295,7 @@ def enumerate_signed_sums(
 
 
 def min_signed_norm(
-    config: VectorConfig,
-    policy: PrecisionPolicy | None = None,
-    cap: int = ENUMERATION_CAP,
+    config: VectorConfig, policy: PrecisionPolicy | None = None
 ) -> tuple[float, SignAssignment]:
     """Exact minimiser of ||sum eta_i v_i|| over all 2^n assignments.
 
@@ -301,5 +303,5 @@ def min_signed_norm(
     ordered before -1, so results are reproducible across runs.
     """
     policy = policy or PrecisionPolicy.double()
-    _, _, min_norm, argmin, ctx = _walk(config, policy, None, cap)
+    _, _, min_norm, argmin, ctx = _walk(config, policy, None)
     return ctx.to_float(min_norm), argmin

@@ -36,19 +36,25 @@ def config_to_obj(config: VectorConfig, policy: PrecisionPolicy | None = None) -
 
 
 def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorConfig:
+    """Inverse of config_to_obj; raises ValueError when obj lacks its shape."""
     policy = policy or PrecisionPolicy.double()
-    rows = []
-    for row in obj["vectors"]:
-        if policy.mode == "double":
-            rows.append(tuple(float(x) for x in row))
-        else:
-            with mp.workprec(policy.bits):
-                rows.append(tuple(mp.mpf(x) for x in row))
+    try:
+        rows = []
+        for row in obj["vectors"]:
+            if policy.mode == "double":
+                rows.append(tuple(float(x) for x in row))
+            else:
+                with mp.workprec(policy.bits):
+                    rows.append(tuple(mp.mpf(x) for x in row))
+        dim, tolerance = int(obj["dim"]), float(obj.get("norm_tolerance", 1e-9))
+    except TypeError:  # obj, a row or an entry of the wrong JSON type
+        raise ValueError('a configuration is a JSON object with "dim" and "vectors", '
+                         "a list of lists of numbers") from None
     return VectorConfig(
-        dim=int(obj["dim"]),
+        dim=dim,
         vectors=tuple(rows),
         mode=obj.get("mode", "strict"),
-        norm_tolerance=float(obj.get("norm_tolerance", 1e-9)),
+        norm_tolerance=tolerance,
     )
 
 

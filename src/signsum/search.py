@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ENUMERATION_CAP, VectorConfig, min_signed_norm, sign_table
-from .errors import TooLarge
+from .core import VectorConfig, check_enumerable, min_signed_norm, sign_table
 
 COUNTEREXAMPLE_MARGIN = 1e-6
 
@@ -61,7 +60,7 @@ class SearchResult:
     counterexample_candidate: bool
 
 
-def maximize_min_norm(spec: SearchSpec, cap: int = ENUMERATION_CAP) -> SearchResult:
+def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     """Random-restart hill climbing over n unit vectors in R^d.
 
     Deterministic for a fixed spec: restart r draws from default_rng([seed,
@@ -69,8 +68,7 @@ def maximize_min_norm(spec: SearchSpec, cap: int = ENUMERATION_CAP) -> SearchRes
     A configuration beating sqrt(d-1) at mismatched parity is flagged as a
     counterexample candidate.
     """
-    if spec.n > cap:
-        raise TooLarge(f"n = {spec.n} exceeds the enumeration cap {cap}")
+    check_enumerable(spec.n)  # before the 2^n sign table is built
     combos = sign_table(np.eye(spec.n))
     best_value = -1.0
     best_rows = None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from signsum import balancing
+from signsum import balancing, core
 from signsum.balancing import (
     BalanceReport,
     _greedy_rows,
@@ -32,6 +32,7 @@ from signsum.errors import (
     OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
+    TooLarge,
     TransitivityViolation,
 )
 
@@ -76,11 +77,6 @@ class TestGreedy:
         for m, (eta, lam_i, row) in enumerate(zip(report.signs.signs, lam, rows), start=1):
             acc = acc + (lam_i + eta) * row
             assert float(acc @ acc) <= m + 1e-9
-
-    def test_order_must_be_permutation(self):
-        config = validate_config([(1, 0), (0, 1)])
-        with pytest.raises(ValueError):
-            greedy_signs(config, order=[0, 0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_lambda_rejected(self, bad):
@@ -514,6 +510,11 @@ class TestFalsifier:
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(OutOfRange):
             approximation_falsifier(validate_config([(1, 0), (0, 1)]), r, budget=1)
+
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
+        with pytest.raises(TooLarge):
+            approximation_falsifier(random_unit_config(2, 8, seed=0), 1.0, budget=1)
 
     def test_found_values_are_true_g_values(self):
         config = random_unit_config(2, 4, seed=8)

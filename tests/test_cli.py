@@ -1,11 +1,14 @@
+import argparse
 import csv
 import json
 import math
+import shlex
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from signsum.cli import main
+from signsum.cli import build_parser, main
 from signsum.jsonio import (
     config_from_obj,
     config_to_obj,
@@ -121,6 +124,112 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == ""
         assert "falsifier:" not in err and "best_value" not in err
+
+
+# The shared flags each subcommand reads; it must accept no other of them.
+SHARED_FLAGS = {
+    "--precision": "ext:256", "--tolerance": "1e-3", "--seed": "1", "--out": "x.json",
+    "--format": "csv",
+}
+KEPT_SHARED = {
+    "enumerate": {"--precision", "--tolerance", "--seed", "--out"},
+    "construct": {"--precision", "--seed", "--out"},
+    "balance": {"--precision", "--seed", "--out"},
+    "falsify": {"--precision", "--seed", "--out"},
+    "search": {"--seed", "--out"},
+    "sweep": {"--seed", "--out", "--format"},
+    "decay": set(SHARED_FLAGS),
+    "selftest": {"--seed"},
+}
+VALID_BASE = {
+    "enumerate": ["enumerate", "--construct", "exponential:5", "--r", "1"],
+    "construct": ["construct", "exponential:5"],
+    "balance": ["balance", "--construct", "exponential:5"],
+    "falsify": ["falsify", "--construct", "exponential:5", "--r", "1", "--budget", "1"],
+    "search": ["search", "--d", "2", "--n", "2", "--restarts", "1", "--steps", "5"],
+    "sweep": ["sweep", "--dmax", "1", "--nmax", "1", "--restarts", "1", "--steps", "5"],
+    "decay": ["decay", "--n-list", "3"],
+    "selftest": ["selftest"],
+}
+REMOVED = [(command, flag) for command, kept in KEPT_SHARED.items()
+           for flag in SHARED_FLAGS if flag not in kept]
+
+
+class TestFlags:
+    def test_each_subcommand_has_only_the_shared_flags_it_reads(self):
+        (subparsers,) = [a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == set(KEPT_SHARED)
+        for name, sub in subparsers.choices.items():
+            options = {o for action in sub._actions for o in action.option_strings}
+            assert options & set(SHARED_FLAGS) == KEPT_SHARED[name], name
+        assert sum(map(len, KEPT_SHARED.values())) == 24 and len(REMOVED) == 16
+
+    @pytest.mark.parametrize("command,flag", REMOVED)
+    def test_removed_flag_exits_2(self, workdir, capsys, command, flag):
+        build_parser().parse_args(VALID_BASE[command])  # valid without the flag
+        with pytest.raises(SystemExit) as exc:
+            main(VALID_BASE[command] + [flag, SHARED_FLAGS[flag]])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+        assert not (workdir / "x.json").exists()
+
+    @pytest.mark.parametrize("algo,flag,value", [
+        ("auto", "--lambda", "lam.json"),
+        ("parity", "--lambda", "lam.json"),
+        ("cluster", "--lambda", "lam.json"),
+        ("greedy", "--zeta", "0.001"),
+        ("eliminate", "--zeta", "0.001"),
+    ])
+    def test_balance_flag_the_algorithm_ignores_exits_2(self, workdir, capsys, algo, flag, value):
+        json.dump([0.5, -0.5, 0.0], open("lam.json", "w"))
+        argv = ["balance", "--construct", "orthomult:2:1,2", "--algo", algo]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main(argv + [flag, value]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and flag in err
+
+    @pytest.mark.parametrize("algo,flag,value", [
+        ("greedy", "--lambda", "lam.json"),
+        ("eliminate", "--lambda", "lam.json"),
+        ("cluster", "--zeta", "0.001"),
+        ("parity", "--zeta", "0.001"),
+        ("auto", "--zeta", "0.001"),
+    ])
+    def test_balance_flag_the_algorithm_reads_is_accepted(self, workdir, algo, flag, value):
+        json.dump([0.5, -0.5, 0.0], open("lam.json", "w"))
+        assert main(["balance", "--construct", "orthomult:2:1,2", "--algo", algo,
+                     flag, value, "--out", "b.json"]) == 0
+
+    @pytest.mark.parametrize("files,argv", [
+        ({"lam.json": 3}, ["balance", "--construct", "orthomult:2:1,2", "--algo", "greedy",
+                           "--lambda", "lam.json"]),
+        ({"lam.json": [[1], 0, 0]}, ["balance", "--construct", "orthomult:2:1,2",
+                                     "--algo", "greedy", "--lambda", "lam.json"]),
+        ({"c.json": {"dim": 2, "vectors": 5}}, ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"c.json": [1, 2]}, ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"c.json": {"dim": 2, "vectors": [[None, 0.0]]}},
+         ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({}, ["construct", "random:2"]),
+        ({}, ["enumerate", "--construct", "orthomult:2", "--r", "1"]),
+        ({}, ["construct", "exponential:9:1/0"]),
+    ])
+    def test_malformed_input_exits_2(self, workdir, capsys, files, argv):
+        for name, obj in files.items():
+            json.dump(obj, open(name, "w"))
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
+    def test_readme_command_lines_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("signsum ")]
+        assert len(lines) >= 10
+        for line in lines:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 class TestEnumerateCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from signsum import core
 from signsum.core import (
     SignAssignment,
     VectorConfig,
@@ -110,12 +111,13 @@ class TestEnumerate:
         with pytest.raises(OutOfRange):
             enumerate_signed_sums(config, math.nan)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
         config = random_unit_config(2, 8, seed=0)
         with pytest.raises(TooLarge):
-            enumerate_signed_sums(config, 1.0, cap=6)
+            enumerate_signed_sums(config, 1.0)
         with pytest.raises(TooLarge):
-            min_signed_norm(config, cap=6)
+            min_signed_norm(config)
 
 
 class TestMinSignedNorm:

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from signsum import core
 from signsum.core import min_signed_norm
 from signsum.errors import TooLarge
 from signsum.search import (
@@ -26,9 +27,10 @@ class TestSpec:
             with pytest.raises(ValueError):
                 SearchSpec(d=2, n=2, target=target)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
         with pytest.raises(TooLarge):
-            maximize_min_norm(SearchSpec(d=2, n=8), cap=6)
+            maximize_min_norm(SearchSpec(d=2, n=8))
 
 
 class TestOptima:
