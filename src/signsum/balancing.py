@@ -125,6 +125,15 @@ def default_zeta(d: int) -> float:
     return min(0.0016, 1.0 / (32.0 * d**4))
 
 
+def _zeta(d: int, zeta: float | None) -> float:
+    """The caller's zeta, checked before any zeta**0.25, else default_zeta(d)."""
+    if zeta is None:
+        return default_zeta(d)
+    if not 0.0 < zeta < math.inf:
+        raise ValueError(f"zeta must lie in (0, inf), got {zeta!r}")
+    return zeta
+
+
 def _as_lambda(config: VectorConfig, lam) -> np.ndarray:
     if lam is None:
         return np.zeros(config.n)
@@ -388,7 +397,7 @@ def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> Balance
     guarantee sqrt(d - 1 + 2*d*zeta^(1/4)).
     """
     d = config.dim
-    zeta = default_zeta(d) if zeta is None else zeta
+    zeta = _zeta(d, zeta)
     if config.n % 2 == d % 2:
         raise ParityMismatch(
             f"n = {config.n} and d = {d} have equal parity; no improvement over sqrt(d)"
@@ -462,7 +471,7 @@ def projection_split(
     d = config.dim
     if d < 3:
         raise ValueError("projection split needs d >= 3")
-    zeta = default_zeta(d) if zeta is None else zeta
+    zeta = _zeta(d, zeta)
     alpha = zeta**0.25
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
@@ -557,7 +566,7 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
     randomly ordered greedy passes, all greedy orders in one batched pass).
     """
     d, n = config.dim, config.n
-    zeta = default_zeta(d) if zeta is None else zeta
+    zeta = _zeta(d, zeta)
     eps_floor = paper_epsilon(d)
 
     if n % 2 == d % 2:

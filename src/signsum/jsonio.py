@@ -41,6 +41,8 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
     try:
         rows = []
         for row in obj["vectors"]:
+            if not isinstance(row, list):  # a string would pass as its characters
+                raise TypeError
             if policy.mode == "double":
                 rows.append(tuple(float(x) for x in row))
             else:

@@ -6,9 +6,13 @@ with flat ridges, so the search is a gradient-free hill climb on the product
 of spheres: perturb one vector at a time (only the 2^n partial sums touching
 that vector change), accept improvements, accept sideways moves with
 probability 1/2 to walk along ridges, and decay the perturbation scale
-geometrically.  Restarts are seeded independently and merged
-deterministically; the reported best value is re-verified by exact
-enumeration before returning.
+geometrically.  Negation is exact, so the climb keeps only the eta_1 = +1
+half of the sign table, which has bitwise the same minimum.  Each restart
+draws from its own seeded generator, and the restarts of a block advance
+together as one (R, 2^(n-1), d) array per step; a block holds as many
+restarts as fit LOCKSTEP_BYTES, so a restart's result does not depend on its
+block.  Restarts are merged deterministically; the reported best value is
+re-verified by exact enumeration before returning.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import numpy as np
 from .core import VectorConfig, check_enumerable, min_signed_norm, sign_table
 
 COUNTEREXAMPLE_MARGIN = 1e-6
+# Byte budget R * 2^(n-1) * d * 8 for the partial sums of one lockstep block.
+LOCKSTEP_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -64,43 +70,17 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     """Random-restart hill climbing over n unit vectors in R^d.
 
     Deterministic for a fixed spec: restart r draws from default_rng([seed,
-    r]) and the merge takes the maximum, ties to the lowest restart index.
-    A configuration beating sqrt(d-1) at mismatched parity is flagged as a
-    counterexample candidate.
+    r]), whatever block it climbs in, and the merge takes the maximum, ties
+    to the lowest restart index.  A configuration beating sqrt(d-1) at
+    mismatched parity is flagged as a counterexample candidate.
     """
     check_enumerable(spec.n)  # before the 2^n sign table is built
-    combos = sign_table(np.eye(spec.n))
     best_value = -1.0
     best_rows = None
     history: list[tuple[float, ...]] = []
     exceeded = False
 
-    for restart in range(spec.restarts):
-        rng = np.random.default_rng([spec.seed, restart])
-        rows = rng.standard_normal((spec.n, spec.d))
-        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-        sums = combos @ rows
-        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
-        trace = [value]
-        step = spec.step_init
-        for _ in range(spec.steps):
-            i = int(rng.integers(spec.n))
-            moved = rows[i] + step * rng.standard_normal(spec.d)
-            moved /= np.linalg.norm(moved)
-            new_sums = sums + np.outer(combos[:, i], moved - rows[i])
-            new_value = math.sqrt(float(np.min(np.einsum("ij,ij->i", new_sums, new_sums))))
-            if new_value > value or (new_value == value and rng.random() < 0.5):
-                rows = rows.copy()
-                rows[i] = moved
-                sums = new_sums
-                if new_value > value:
-                    trace.append(new_value)
-                value = new_value
-            step *= spec.step_decay
-        # Incremental updates drift; settle the restart's value from scratch
-        # (the trace keeps the incremental values so it stays nondecreasing).
-        sums = combos @ rows
-        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
+    for rows, trace, value in _restarts(spec):
         history.append(tuple(trace))
         if value > best_value:
             best_value = value
@@ -130,6 +110,60 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
         exceeded_target=exceeded,
         counterexample_candidate=counterexample,
     )
+
+
+def _min_norms(sums: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.min(np.einsum("rij,rij->ri", sums, sums), axis=1))
+
+
+def _restarts(spec: SearchSpec):
+    """Yield each restart's (rows, trace, settled value) in restart order,
+    climbing one block of restarts at a time."""
+    half = sign_table(np.eye(spec.n))[: 1 << (spec.n - 1)]
+    block = max(1, LOCKSTEP_BYTES // (half.shape[0] * spec.d * 8))
+    for first in range(0, spec.restarts, block):
+        yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts))))
+
+
+def _climb(spec: SearchSpec, half: np.ndarray, restarts: range):
+    """Run the given restarts together, one (R, 2^(n-1), d) sum array per
+    step; return each restart's rows, trace and settled value."""
+    rngs = [np.random.default_rng([spec.seed, r]) for r in restarts]
+    rows = np.array([rng.standard_normal((spec.n, spec.d)) for rng in rngs])
+    rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    sums = half @ rows
+    values = _min_norms(sums).tolist()
+    traces = [[v] for v in values]
+    columns = half.T.copy()  # row i holds the half table's signs of vector i
+    picked = np.empty(len(rngs), dtype=np.intp)
+    noise = np.empty((len(rngs), spec.d))
+    each = np.arange(len(rngs))
+    draws = list(enumerate(zip(rngs, noise)))
+    step = spec.step_init
+    for _ in range(spec.steps):
+        for r, (rng, out) in draws:
+            picked[r] = rng.integers(spec.n)
+            rng.standard_normal(out=out)
+        old = rows[each, picked]
+        moved = old + step * noise
+        # vecdot rounds as the 1-D norm does; norm(axis=1) and einsum do not.
+        moved /= np.sqrt(np.vecdot(moved, moved))[:, None]
+        new_sums = sums + columns[picked][:, :, None] * (moved - old)[:, None, :]
+        accept = []
+        for r, new in enumerate(_min_norms(new_sums).tolist()):
+            if new > values[r]:
+                traces[r].append(new)
+            elif new != values[r] or rngs[r].random() >= 0.5:
+                continue  # a sideways move is taken with probability 1/2
+            values[r] = new
+            accept.append(r)
+        if accept:
+            rows[accept, picked[accept]] = moved[accept]
+            sums[accept] = new_sums[accept]
+        step *= spec.step_decay
+    # Incremental updates drift; settle each restart's value from scratch
+    # (the trace keeps the incremental values so it stays nondecreasing).
+    return rows, traces, _min_norms(half @ rows).tolist()
 
 
 def _balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:

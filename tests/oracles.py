@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's own code paths: the census
 walks assignments with itertools.product and sums vectors directly (no
 partial-sum tables, no incremental updates), the chord oracle solves the
 circle-line intersection quadratic, the polar oracle goes through an
-eigenvalue square root instead of the SVD, and the greedy oracle takes one
-vector at a time instead of one step of a batch of orders.
+eigenvalue square root instead of the SVD, the greedy oracle takes one
+vector at a time instead of one step of a batch of orders, and the search
+oracle climbs one restart at a time on the full sign table.
 """
 
 import itertools
@@ -106,3 +107,44 @@ def uniform_sphere_abs_inner(d, pairs, seed):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return float(np.mean(np.abs(np.einsum("ij,ij->i", u, v))))
+
+
+def serial_search(spec):
+    """The hill climb of search.maximize_min_norm, one restart at a time on
+    the full 2^n sign table: returns (best_rows, best_value, history,
+    exceeded_target).  best_value is the climb's settled value, not an
+    exact re-enumeration.  Each restart draws from default_rng([seed, r]):
+    integers, standard_normal, and random() only on an exact tie."""
+    combos = np.array(list(itertools.product((1.0, -1.0), repeat=spec.n)))
+    best_value, best_rows, history, exceeded = -1.0, None, [], False
+    for restart in range(spec.restarts):
+        rng = np.random.default_rng([spec.seed, restart])
+        rows = rng.standard_normal((spec.n, spec.d))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        sums = combos @ rows
+        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
+        trace = [value]
+        step = spec.step_init
+        for _ in range(spec.steps):
+            i = int(rng.integers(spec.n))
+            moved = rows[i] + step * rng.standard_normal(spec.d)
+            moved /= np.sqrt(np.vecdot(moved, moved))
+            new_sums = sums + np.outer(combos[:, i], moved - rows[i])
+            new_value = math.sqrt(float(np.min(np.einsum("ij,ij->i", new_sums, new_sums))))
+            if new_value > value or (new_value == value and rng.random() < 0.5):
+                rows = rows.copy()
+                rows[i] = moved
+                sums = new_sums
+                if new_value > value:
+                    trace.append(new_value)
+                value = new_value
+            step *= spec.step_decay
+        sums = combos @ rows
+        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
+        history.append(tuple(trace))
+        if value > best_value:
+            best_value, best_rows = value, rows
+        if spec.target is not None and best_value > spec.target:
+            exceeded = True
+            break
+    return best_rows, best_value, tuple(history), exceeded

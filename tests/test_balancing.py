@@ -486,6 +486,22 @@ class TestParityBalance:
         assert report.achieved_norm == pytest.approx(math.sqrt(2), abs=1e-12)
 
 
+class TestZetaRange:
+    """A caller's zeta must lie in (0, inf), checked before zeta**0.25 (a
+    negative zeta made it complex and ended in a TypeError)."""
+
+    @pytest.mark.parametrize("zeta", [-1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("balance,config", [
+        (parity_balance, construct_orthonormal_multiplicity(2, [1, 2])),
+        (parity_balance, random_unit_config(3, 4, seed=0)),
+        (cluster_and_pair, construct_orthonormal_multiplicity(2, [1, 2])),
+        (projection_split, validate_config([(1, 0, 0), (0.5, math.sqrt(0.75), 0), (0, 0, 1)])),
+    ])
+    def test_out_of_range_raises_value_error(self, balance, config, zeta):
+        with pytest.raises(ValueError, match="zeta must lie in"):
+            balance(config, zeta=zeta)
+
+
 class TestFalsifier:
     def test_orthonormal_square_center(self):
         config = validate_config([(1, 0), (0, 1)])

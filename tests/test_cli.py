@@ -223,6 +223,22 @@ class TestFlags:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ")
 
+    @pytest.mark.parametrize("algo", ["parity", "cluster"])
+    @pytest.mark.parametrize("zeta", ["-1", "nan", "inf"])
+    def test_zeta_out_of_range_exits_2(self, workdir, capsys, algo, zeta):
+        assert main(["balance", "--construct", "orthomult:2:1,2", "--algo", algo,
+                     "--zeta", zeta]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: zeta must lie in")
+
+    def test_string_rows_are_refused(self, workdir, capsys):
+        json.dump({"dim": 2, "vectors": ["10", "01"]}, open("c.json", "w"))
+        assert main(["enumerate", "--config", "c.json", "--r", "1.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        with pytest.raises(ValueError):
+            config_from_obj({"dim": 2, "vectors": ["10", "01"]})
+
     def test_readme_command_lines_parse(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
@@ -280,6 +296,17 @@ class TestEnumerateCommand:
         obj = manifest.to_obj()
         assert sorted(obj) == ["command", "input_sha256", "precision", "seed",
                                "timestamp_utc", "version"]
+
+    def test_interval_summary_exits_0(self, workdir, capsys):
+        """The stderr summary formats an interval min_norm through the
+        policy's to_float; float() of a nonzero-width interval raised."""
+        argv = ["enumerate", "--construct", "exponential:13", "--r", "1",
+                "--precision", "interval:256"]
+        assert main(argv) == 0
+        out, err = capsys.readouterr()
+        result = json.loads(out)["result"]
+        assert result["hits"] == 128
+        assert err.startswith("hits 128/8192") and "min_norm 1 " in err
 
     def test_worker_flag_is_rejected(self, workdir, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from signsum import core
+from signsum import core, search
 from signsum.core import min_signed_norm
 from signsum.errors import TooLarge
 from signsum.search import (
@@ -11,6 +11,8 @@ from signsum.search import (
     maximize_min_norm,
     parity_sweep,
 )
+
+from oracles import serial_search
 
 
 class TestSpec:
@@ -85,6 +87,56 @@ class TestInvariants:
         result = maximize_min_norm(spec)
         assert result.exceeded_target
         assert len(result.history) < 50
+
+
+def _lockstep_specs():
+    specs = [SearchSpec(d=1 + k % 5, n=1 + (3 * k) % 10, restarts=1 + k % 4,
+                        steps=(1, 9, 40, 120)[k % 4], seed=100 + k)
+             for k in range(44)]
+    specs += [
+        SearchSpec(d=1, n=1, restarts=3, steps=30, seed=7),
+        SearchSpec(d=1, n=2, restarts=5, steps=60, seed=8),
+        SearchSpec(d=2, n=1, restarts=2, steps=20, seed=9),
+        SearchSpec(d=3, n=6, restarts=3, steps=80, step_init=1.5, step_decay=1.0, seed=10),
+        SearchSpec(d=2, n=2, restarts=20, steps=300, seed=3, target=1.414),
+        SearchSpec(d=3, n=4, restarts=8, steps=100, seed=8, target=1.39),
+        SearchSpec(d=1, n=3, restarts=4, steps=20, seed=2, target=0.5),
+        SearchSpec(d=3, n=4, restarts=4, steps=50, seed=9, target=5.0),
+    ]
+    return specs
+
+
+class TestLockstep:
+    """The lockstep climb on the half table matches the serial climb on the
+    full table field for field."""
+
+    @staticmethod
+    def _assert_matches(spec):
+        result = maximize_min_norm(spec)
+        rows, value, history, exceeded = serial_search(spec)
+        assert result.best_config.vectors == tuple(tuple(map(float, r)) for r in rows)
+        assert result.best_value == pytest.approx(value, abs=1e-12)
+        assert result.history == history
+        assert result.exceeded_target == exceeded
+        return result
+
+    @pytest.mark.parametrize("spec", _lockstep_specs(), ids=repr)
+    def test_matches_serial_climb(self, spec):
+        self._assert_matches(spec)
+
+    def test_target_hits_are_covered(self):
+        hits = [maximize_min_norm(s) for s in _lockstep_specs() if s.target is not None]
+        assert sum(r.exceeded_target and len(r.history) > 1 for r in hits) >= 2
+
+    @pytest.mark.parametrize("per_block", [0, 1, 3])
+    def test_restarts_span_several_blocks(self, monkeypatch, per_block):
+        d, n = 3, 5
+        monkeypatch.setattr(search, "LOCKSTEP_BYTES", per_block * 2 ** (n - 1) * d * 8)
+        self._assert_matches(SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12))
+        # A target first beaten by restart 1, inside the first block of 3.
+        result = self._assert_matches(
+            SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12, target=1.336))
+        assert result.exceeded_target and 1 < len(result.history) < 8
 
 
 class TestParitySweep:
