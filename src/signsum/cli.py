@@ -144,7 +144,7 @@ def cmd_enumerate(args, argv) -> int:
     _emit_json(args, payload)
     print(
         f"hits {report.hits}/{report.total}  probability {report.probability}  "
-        f"min_norm {policy.context().to_float(report.min_norm):.12g}  margin {report.margin:.6g}",
+        f"min_norm {float(report.min_norm):.12g}  margin {report.margin:.6g}",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -38,7 +38,6 @@ class ConstructionSpec:
     d: int | None = None
     multiplicities: tuple[int, ...] | None = None
     seed: int | None = None
-    precision: PrecisionPolicy | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -78,14 +77,13 @@ class ConstructionSpec:
         raise ValueError(f"unknown construction kind {head!r}")
 
     def build(self, policy: PrecisionPolicy | None = None) -> VectorConfig:
-        policy = policy or self.precision
         if self.kind == "exponential":
             c = self.c if self.c is not None else DEFAULT_DECAY
             return construct_exponential(self.n, c, policy)
         if self.kind == "orthonormal_multiplicity":
             return construct_orthonormal_multiplicity(self.d, self.multiplicities)
         if self.kind == "tight_family":
-            return construct_tight_family(policy=policy)
+            return construct_tight_family()
         return random_unit_config(self.d, self.n, self.seed)
 
 # Refuse to build the duplicated-pair family when the classification margin
@@ -181,7 +179,6 @@ def construct_tight_family(
     v3=None,
     v4=None,
     extra_pairs=(),
-    policy: PrecisionPolicy | None = None,
 ) -> VectorConfig:
     """The d=3 extremal family: v1 = v2 a unit vector, v3 orthogonal to v4.
 
@@ -205,7 +202,7 @@ def construct_tight_family(
     for j in extra_pairs:
         rows.extend([base[j], base[j]])
     config = VectorConfig(dim=3, vectors=tuple(rows))
-    achieved, _ = min_signed_norm(config, policy=policy)
+    achieved, _ = min_signed_norm(config)
     if abs(achieved - math.sqrt(2)) > 1e-9:
         raise DegenerateFamily(achieved, math.sqrt(2))
     return config

@@ -5,17 +5,20 @@ first and last halves of the vectors each get a table of all their partial
 signed sums, and every signed sum is one head entry plus one tail entry,
 formed in fixed-size numpy chunks in lexicographic order of the signs.
 Since ||-s|| = ||s||, only the half with eta_1 = +1 is formed and every
-count is doubled.  The precision policy supplies the array type and the
-chunk-level classification, so one kernel serves double, extended and
-interval arithmetic, and every field of the result depends only on the
-input.
+count is doubled.  The precision policy supplies the scalar type (float64,
+or mpf at its bits), so one kernel serves every mode, and every field of
+the result depends only on the input.
 
 Classification at radius r is closed-ball with a tolerance band: an
 assignment is a hit when norm^2 <= r^2 + tol.  Assignments whose norm^2 lies
 within tol of r^2 sit exactly on the decision boundary as far as the policy
 can tell; the report's ``margin`` field is the smallest gap |norm^2 - r^2|
 over all assignments outside that band (0.0 if every assignment is inside),
-so callers can judge how trustworthy the hit count is.
+so callers can judge how trustworthy the hit count is.  Interval mode runs
+the extended kernel and certifies each classification: a sum whose computed
+norm^2 lies within ``rounding_bound`` of r^2 + tol raises
+AmbiguousClassification, so every count it returns is exact for the given
+inputs.
 """
 
 from __future__ import annotations
@@ -25,14 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp
 
-from .errors import DimensionMismatch, NormViolation, OutOfRange, TooLarge
+from .errors import AmbiguousClassification, DimensionMismatch, NormViolation, OutOfRange, TooLarge
 from .precision import PrecisionPolicy
 
 ENUMERATION_CAP = 30
 
 # Sums per chunk of the split-table kernel.  Small on purpose: extended and
-# interval chunks are object arrays of mpmath scalars.
+# interval chunks are object arrays of mpf.
 _CHUNK = 1 << 10
 
 _MODES = ("strict", "beck")
@@ -179,19 +183,13 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
         raise DimensionMismatch(
             f"{len(signs)} signs for {config.n} vectors"
         )
-    policy = policy or PrecisionPolicy.double()
-    ctx = policy.context()
+    ctx = (policy or PrecisionPolicy.double()).context()
     with ctx.active():
-        rows = [[ctx.scalar(x) for x in row] for row in config.vectors]
-        acc = list(rows[0]) if signs.signs[0] > 0 else [-x for x in rows[0]]
+        rows = ctx.array(config.vectors)
+        acc = signs.signs[0] * rows[0]
         for eta, row in zip(signs.signs[1:], rows[1:]):
-            if eta > 0:
-                for k in range(config.dim):
-                    acc[k] = acc[k] + row[k]
-            else:
-                for k in range(config.dim):
-                    acc[k] = acc[k] - row[k]
-        return tuple(acc)
+            acc = acc + eta * row
+        return tuple(acc.tolist())
 
 
 def sign_table(rows: np.ndarray) -> np.ndarray:
@@ -223,10 +221,59 @@ def combine(head: np.ndarray, tail: np.ndarray):
             yield (sums * sums).sum(axis=0).ravel()
 
 
+def half_norms_sq(rows: np.ndarray):
+    """Chunks of the norm^2 of every signed sum of the rows with eta_1 = +1,
+    the lexicographically first half, in lexicographic order."""
+    split = (len(rows) + 1) // 2
+    return combine(rows[0] + sign_table(rows[1:split]), sign_table(rows[split:]))
+
+
 def check_enumerable(n: int):
     """Raise TooLarge when n is past ENUMERATION_CAP, read at call time."""
     if n > ENUMERATION_CAP:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
+
+
+def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
+    """A float no smaller than the kernel's largest error in
+    norm^2 - (r^2 + tol) over the signed sums of ``rows``, at unit roundoff
+    u = 2^-bits, round-to-nearest and no underflow (mpf has none).
+
+    With gamma_k = k*u / (1 - k*u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., Lemma 3.1) and S_j = sum_i |v_ij|:
+
+    * Each term of a coordinate meets at most n roundings: its conversion
+      and at most n - 1 additions in ``sign_table`` and head + tail (adding
+      to the table's zero row is exact).  So the computed coordinate is off
+      by at most e_j = gamma_n * S_j.
+    * The exact squares of the computed coordinates then sum to within
+      sum_j (2 S_j e_j + e_j^2) of norm^2, and squaring and summing them, a
+      d-term dot product, errs by at most gamma_d * sum_j (S_j + e_j)^2
+      (Higham (3.5)).
+    * r*r + tol takes two roundings after r and tol are converted:
+      gamma_4 * (r^2 + tol).
+
+    The three terms are summed exactly and rounded up to a float.
+    """
+    u = Fraction(1, 1 << bits)
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    sums = [sum(abs(_exact(x)) for x in column) for column in zip(*rows)]
+    errors = [gamma(len(rows)) * s for s in sums]
+    r = _exact(radius)
+    bound = (sum(2 * s * e + e * e for s, e in zip(sums, errors))
+             + gamma(len(sums)) * sum((s + e) ** 2 for s, e in zip(sums, errors))
+             + gamma(4) * (r * r + _exact(tolerance)))
+    return math.nextafter(float(bound), math.inf)
+
+
+def _exact(x) -> Fraction:
+    """The exact value of an int, a float or an mpf (whose ``man`` is unsigned)."""
+    if hasattr(x, "man"):
+        return (x.man if x >= 0 else -x.man) * Fraction(2) ** x.exp
+    return Fraction(x)
 
 
 def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
@@ -234,33 +281,40 @@ def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
     check_enumerable(n)
     ctx = policy.context()
     with ctx.active():
-        rows = ctx.array(config.vectors)
-        # ||-s|| = ||s||: enumerate only eta_1 = +1, the lexicographically
-        # first half, and count every sum twice.
-        split = (n + 1) // 2
-        head = rows[0] + sign_table(rows[1:split])
-        tail = sign_table(rows[split:])
+        tolerance = policy.classification_tolerance
+        refuse = None
         if radius is not None:
             r = ctx.scalar(radius)
             radius_sq = r * r
-            tol = ctx.scalar(policy.classification_tolerance)
+            threshold = radius_sq + ctx.scalar(tolerance)
+            if policy.mode == "interval":
+                # Norms^2 in [threshold - bound, threshold + bound] cannot be
+                # placed; mp.fsub/fadd with exact=True keep the band exact.
+                bound = rounding_bound(config.vectors, policy.bits, radius, tolerance)
+                refuse = (mp.fsub(threshold, bound, exact=True),
+                          mp.fadd(threshold, bound, exact=True))
         hits = 0
         margin = None
-        best_key = best_ns = best_index = None
-        for chunk, norm_sq in enumerate(combine(head, tail)):
+        best_ns = best_index = None
+        # ||-s|| = ||s||: count every sum of the eta_1 = +1 half twice.
+        for chunk, norm_sq in enumerate(half_norms_sq(ctx.array(config.vectors))):
             if radius is not None:
-                hits += 2 * int(np.count_nonzero(ctx.classify_hits(norm_sq, radius_sq, tol)))
-                gaps = ctx.gaps(norm_sq, radius_sq)
-                gaps = gaps[gaps > policy.classification_tolerance]
+                if refuse and np.any((norm_sq >= refuse[0]) & (norm_sq <= refuse[1])):
+                    raise AmbiguousClassification(
+                        f"a norm^2 lies within the rounding bound {bound:.3g} of the "
+                        f"threshold r^2 + tol = {ctx.decimal(threshold)}"
+                    )
+                hits += 2 * int(np.count_nonzero(norm_sq <= threshold))
+                gaps = np.abs(norm_sq - radius_sq).astype(float)
+                gaps = gaps[gaps > tolerance]
                 if gaps.size and (margin is None or gaps.min() < margin):
                     margin = float(gaps.min())
-            keys = ctx.order_keys(norm_sq)
-            i = int(np.argmin(keys))
+            i = int(np.argmin(norm_sq))
             # Strict < keeps the earliest, hence lexicographically first, minimiser.
-            if best_key is None or keys[i] < best_key:
-                best_key, best_ns, best_index = keys[i], norm_sq[i], chunk * _CHUNK + i
+            if best_ns is None or norm_sq[i] < best_ns:
+                best_ns, best_index = norm_sq[i], chunk * _CHUNK + i
         signs = tuple(-1 if (best_index >> (n - 1 - i)) & 1 else 1 for i in range(n))
-        return hits, margin, ctx.sqrt(best_ns), SignAssignment(signs), ctx
+        return hits, margin, ctx.sqrt(best_ns), SignAssignment(signs)
 
 
 def enumerate_signed_sums(
@@ -273,15 +327,16 @@ def enumerate_signed_sums(
     closed ball of the given radius.
 
     Raises OutOfRange for a negative or NaN radius, TooLarge past the cap,
-    and AmbiguousClassification in interval mode when some assignment cannot
-    be classified at the policy tolerance.  ``workers`` is accepted and
-    ignored, since enumeration runs in the calling thread; it stays because
-    the benchmark harness (``perfbench/workloads.py``) passes ``workers=1``.
+    and AmbiguousClassification in interval mode when some sum's computed
+    norm^2 lies within ``rounding_bound`` of r^2 + tol.  ``workers`` is
+    accepted and ignored, since enumeration runs in the calling thread; it
+    stays because the benchmark harness (``perfbench/workloads.py``) passes
+    ``workers=1``.
     """
     policy = policy or PrecisionPolicy.double()
     if not float(radius) >= 0:
         raise OutOfRange("radius must be nonnegative")
-    hits, margin, min_norm, argmin, _ = _walk(config, policy, radius)
+    hits, margin, min_norm, argmin = _walk(config, policy, radius)
     total = 1 << config.n
     return EnumerationReport(
         total=total,
@@ -300,8 +355,8 @@ def min_signed_norm(
     """Exact minimiser of ||sum eta_i v_i|| over all 2^n assignments.
 
     Ties break toward the lexicographically smallest sign sequence with +1
-    ordered before -1, so results are reproducible across runs.
+    ordered before -1, so results are reproducible across runs.  No library
+    caller passes ``policy``; ``perfbench/tracing.py`` passes it positionally.
     """
-    policy = policy or PrecisionPolicy.double()
-    _, _, min_norm, argmin, ctx = _walk(config, policy, None)
-    return ctx.to_float(min_norm), argmin
+    _, _, min_norm, argmin = _walk(config, policy or PrecisionPolicy.double(), None)
+    return float(min_norm), argmin

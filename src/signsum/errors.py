@@ -28,7 +28,7 @@ class TooLarge(SignsumError):
 
 
 class AmbiguousClassification(SignsumError):
-    """Interval mode: a norm interval straddles the radius threshold."""
+    """Interval mode: a sum's norm^2 lies within the rounding bound of the threshold."""
 
 
 class PrecisionInsufficient(SignsumError):

@@ -3,10 +3,13 @@
 Three modes:
 
 * ``double``   -- plain Python floats (IEEE binary64).
-* ``extended`` -- mpmath arbitrary-precision floats at a configurable
+* ``extended`` -- mpmath arbitrary-precision floats (mpf) at a configurable
   bit count (>= 64).
-* ``interval`` -- mpmath interval arithmetic; classification refuses to
-  answer when an interval straddles the decision threshold.
+* ``interval`` -- the same mpf arithmetic at >= 53 bits, plus a certificate:
+  enumeration raises AmbiguousClassification for any sum whose computed
+  norm^2 lies within the proven rounding bound ``core.rounding_bound`` of
+  the threshold.  Every result it does return equals extended mode's at the
+  same bits.
 
 A policy also carries the classification tolerance: a signed sum counts as a
 hit at radius r when ``norm**2 <= r**2 + tolerance``.  The double-mode
@@ -23,9 +26,7 @@ from dataclasses import dataclass
 
 import mpmath
 import numpy as np
-from mpmath import iv, mp
-
-from .errors import AmbiguousClassification
+from mpmath import mp
 
 DOUBLE_TOLERANCE = 1e-12
 
@@ -99,21 +100,18 @@ class PrecisionPolicy:
     def context(self) -> "ScalarContext":
         if self.mode == "double":
             return _DoubleContext(self)
-        if self.mode == "extended":
-            return _ExtendedContext(self)
-        return _IntervalContext(self)
+        return _ExtendedContext(self)
 
 
 class ScalarContext:
     """Arithmetic backend chosen by a policy.
 
     All enumeration arithmetic must happen inside ``with ctx.active():`` so
-    that mpmath's working precision is pinned for the duration.  Scalars
-    support the ordinary operators, and ``array`` packs them into numpy
-    arrays (float64, or object arrays of mpmath scalars) that the
-    enumeration kernel adds and multiplies chunk by chunk.  The chunk-level
-    methods below default to the real-valued backends; interval mode
-    overrides them.
+    that mpmath's working precision is pinned for the duration.  A backend
+    converts with ``scalar``, and has ``sqrt`` and ``decimal`` (a string that
+    round-trips at its precision).  Scalars support the ordinary operators,
+    and ``array`` packs them into numpy arrays (float64, or object arrays of
+    mpf) that the enumeration kernel adds, multiplies and compares.
     """
 
     dtype = object
@@ -124,35 +122,9 @@ class ScalarContext:
     def active(self):
         return contextlib.nullcontext()
 
-    def scalar(self, x):
-        raise NotImplementedError
-
     def array(self, rows) -> np.ndarray:
         """Rows of scalars as a 2-D array of this context's scalars."""
         return np.array([[self.scalar(x) for x in row] for row in rows], dtype=self.dtype)
-
-    def sqrt(self, x):
-        raise NotImplementedError
-
-    def to_float(self, x) -> float:
-        raise NotImplementedError
-
-    def decimal(self, x) -> str:
-        """Decimal string that round-trips at this context's precision."""
-        raise NotImplementedError
-
-    def classify_hits(self, norm_sq, radius_sq, tolerance) -> np.ndarray:
-        """Boolean array: which entries of a norm^2 chunk are hits,
-        norm^2 <= r^2 + tol."""
-        return norm_sq <= radius_sq + tolerance
-
-    def gaps(self, norm_sq, radius_sq) -> np.ndarray:
-        """|norm^2 - r^2| for a norm^2 chunk as floats, for margin bookkeeping."""
-        return np.abs(norm_sq - radius_sq).astype(float)
-
-    def order_keys(self, norm_sq) -> np.ndarray:
-        """Values whose order ranks a norm^2 chunk for minimum tracking."""
-        return norm_sq
 
 
 class _DoubleContext(ScalarContext):
@@ -164,14 +136,13 @@ class _DoubleContext(ScalarContext):
     def sqrt(self, x):
         return float(x) ** 0.5
 
-    def to_float(self, x):
-        return float(x)
-
     def decimal(self, x):
         return repr(float(x))
 
 
 class _ExtendedContext(ScalarContext):
+    """mpf at the policy's bits; serves extended and interval mode alike."""
+
     def active(self):
         return mp.workprec(self.policy.bits)
 
@@ -181,69 +152,6 @@ class _ExtendedContext(ScalarContext):
     def sqrt(self, x):
         return mp.sqrt(x)
 
-    def to_float(self, x):
-        return float(x)
-
     def decimal(self, x):
         digits = int(self.policy.bits * 0.30103) + 3
         return mpmath.nstr(mp.mpf(x), digits)
-
-
-class _IntervalContext(ScalarContext):
-    """Interval backend.
-
-    Classification is three-valued: certain hit, certain miss, or refusal
-    (AmbiguousClassification).  Ordering used for minima falls back to
-    interval midpoints, which is the honest best-effort answer; the mode's
-    contract is about classification, where no guessing happens.
-    """
-
-    def active(self):
-        return _iv_workprec(self.policy.bits)
-
-    def scalar(self, x):
-        return iv.mpf(x)
-
-    def sqrt(self, x):
-        return iv.sqrt(x)
-
-    def to_float(self, x):
-        return float(mpmath.mpf(x.mid)) if hasattr(x, "mid") else float(x)
-
-    def decimal(self, x):
-        digits = int(self.policy.bits * 0.30103) + 3
-        mid = x.mid if hasattr(x, "mid") else x
-        with mp.workprec(self.policy.bits):
-            return mpmath.nstr(mpmath.mpf(mid), digits)
-
-    def classify_hits(self, norm_sq, radius_sq, tolerance):
-        threshold = radius_sq + tolerance
-        return np.array([_certain_hit(x, threshold) for x in norm_sq], dtype=bool)
-
-    def gaps(self, norm_sq, radius_sq):
-        return np.abs(self.order_keys(norm_sq) - self.to_float(radius_sq))
-
-    def order_keys(self, norm_sq):
-        return np.array([self.to_float(x) for x in norm_sq])
-
-
-def _certain_hit(norm_sq, threshold) -> bool:
-    if norm_sq.b <= threshold.a:
-        return True
-    if norm_sq.a > threshold.b:
-        return False
-    raise AmbiguousClassification(
-        f"norm-squared interval [{norm_sq.a}, {norm_sq.b}] straddles the "
-        f"radius threshold [{threshold.a}, {threshold.b}]"
-    )
-
-
-@contextlib.contextmanager
-def _iv_workprec(bits: int):
-    # mpmath's iv context has no workprec() helper; save/restore by hand.
-    old = iv.prec
-    iv.prec = bits
-    try:
-        yield
-    finally:
-        iv.prec = old

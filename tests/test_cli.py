@@ -97,6 +97,12 @@ class TestExitCodes:
     def test_precision_refusal(self, workdir):
         assert main(["enumerate", "--construct", "exponential:13", "--r", "1"]) == 3
 
+    def test_interval_refusal(self, workdir):
+        """An achieved norm as the radius, at tolerance 0 and 53 bits."""
+        assert main(["construct", "random:2:6", "--seed", "0", "--out", "r26.json"]) == 0
+        assert main(["enumerate", "--config", "r26.json", "--r", "0.28234820914785475",
+                     "--precision", "interval:53", "--tolerance", "0"]) == 3
+
     def test_too_large_is_validation(self, workdir):
         assert main(["falsify", "--construct", "random:2:40", "--r", "1", "--budget", "1"]) == 2
 
@@ -298,8 +304,8 @@ class TestEnumerateCommand:
                                "timestamp_utc", "version"]
 
     def test_interval_summary_exits_0(self, workdir, capsys):
-        """The stderr summary formats an interval min_norm through the
-        policy's to_float; float() of a nonzero-width interval raised."""
+        """The stderr summary formats interval mode's min_norm, an mpf,
+        with float()."""
         argv = ["enumerate", "--construct", "exponential:13", "--r", "1",
                 "--precision", "interval:256"]
         assert main(argv) == 0

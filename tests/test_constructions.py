@@ -158,13 +158,6 @@ class TestConstructionSpec:
         assert (ConstructionSpec.from_string("random:3:6", seed=5).build().vectors
                 == random_unit_config(3, 6, seed=5).vectors)
 
-    def test_carried_precision_policy(self):
-        from signsum.constructions import ConstructionSpec
-
-        spec = ConstructionSpec("exponential", n=13,
-                                precision=PrecisionPolicy.extended(256))
-        assert spec.build().n == 13  # would be gated in double
-
     def test_validation(self):
         from signsum.constructions import ConstructionSpec
 
