@@ -52,7 +52,7 @@ def _policy(args) -> PrecisionPolicy:
     policy = PrecisionPolicy.parse(getattr(args, "precision", "double"))
     tolerance = getattr(args, "tolerance", None)
     if tolerance is not None:
-        policy = PrecisionPolicy(policy.mode, policy.bits, tolerance)
+        policy = dataclasses.replace(policy, classification_tolerance=tolerance)
     return policy
 
 
@@ -162,7 +162,7 @@ def _load_lambda(spec: str | None, n: int):
         return None
     with open(spec, "r", encoding="utf-8") as fh:
         values = json.load(fh)
-    if not isinstance(values, list) or not all(isinstance(v, (int, float, str)) for v in values):
+    if not isinstance(values, list) or not all(type(v) in (int, float, str) for v in values):
         raise ValueError(f"lambda file {spec} must hold a JSON list of numbers")
     if len(values) != n:
         raise ValueError(f"lambda file holds {len(values)} values for n = {n}")

@@ -5,13 +5,11 @@ random unit configurations for property tests."""
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .core import SignAssignment, VectorConfig, min_signed_norm
 from .errors import DegenerateFamily, EvenN, NotOrthogonal, PrecisionInsufficient
@@ -126,23 +124,17 @@ def construct_exponential(
     if not 0 < c_frac < 1:
         raise ValueError(f"decay must satisfy 0 < c < 1, got {c}")
     policy = policy or PrecisionPolicy.double()
-    bits = policy.bits
-    _margin_gate(n, float(c_frac), bits)
+    _margin_gate(n, float(c_frac), policy.bits)
 
-    double = policy.mode == "double"
     rows = []
-    with contextlib.nullcontext() if double else mp.workprec(bits):
-        if double:
-            cw, one, zero, sqrt = float(c_frac), 1.0, 0.0, math.sqrt
-        else:
-            cw = mp.mpf(c_frac.numerator) / mp.mpf(c_frac.denominator)
-            one, zero, sqrt = mp.mpf(1), mp.mpf(0), mp.sqrt
+    with policy.active():
+        cw, one = policy.scalar(c_frac), policy.scalar(1)
         t = one
         for _ in range(n // 2):
             t = t * cw
-            x = sqrt(one - t * t)
+            x = policy.sqrt(one - t * t)
             rows += [(x, t), (x, t)]
-    rows.append((one, zero))
+        rows.append((one, policy.scalar(0)))
     return VectorConfig(dim=2, vectors=tuple(rows))
 
 

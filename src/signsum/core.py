@@ -183,9 +183,9 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
         raise DimensionMismatch(
             f"{len(signs)} signs for {config.n} vectors"
         )
-    ctx = (policy or PrecisionPolicy.double()).context()
-    with ctx.active():
-        rows = ctx.array(config.vectors)
+    policy = policy or PrecisionPolicy.double()
+    with policy.active():
+        rows = policy.array(config.vectors)
         acc = signs.signs[0] * rows[0]
         for eta, row in zip(signs.signs[1:], rows[1:]):
             acc = acc + eta * row
@@ -279,14 +279,13 @@ def _exact(x) -> Fraction:
 def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
     n = config.n
     check_enumerable(n)
-    ctx = policy.context()
-    with ctx.active():
+    with policy.active():
         tolerance = policy.classification_tolerance
         refuse = None
         if radius is not None:
-            r = ctx.scalar(radius)
+            r = policy.scalar(radius)
             radius_sq = r * r
-            threshold = radius_sq + ctx.scalar(tolerance)
+            threshold = radius_sq + policy.scalar(tolerance)
             if policy.mode == "interval":
                 # Norms^2 in [threshold - bound, threshold + bound] cannot be
                 # placed; mp.fsub/fadd with exact=True keep the band exact.
@@ -297,12 +296,12 @@ def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
         margin = None
         best_ns = best_index = None
         # ||-s|| = ||s||: count every sum of the eta_1 = +1 half twice.
-        for chunk, norm_sq in enumerate(half_norms_sq(ctx.array(config.vectors))):
+        for chunk, norm_sq in enumerate(half_norms_sq(policy.array(config.vectors))):
             if radius is not None:
                 if refuse and np.any((norm_sq >= refuse[0]) & (norm_sq <= refuse[1])):
                     raise AmbiguousClassification(
                         f"a norm^2 lies within the rounding bound {bound:.3g} of the "
-                        f"threshold r^2 + tol = {ctx.decimal(threshold)}"
+                        f"threshold r^2 + tol = {policy.decimal(threshold)}"
                     )
                 hits += 2 * int(np.count_nonzero(norm_sq <= threshold))
                 gaps = np.abs(norm_sq - radius_sq).astype(float)
@@ -314,7 +313,7 @@ def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
             if best_ns is None or norm_sq[i] < best_ns:
                 best_ns, best_index = norm_sq[i], chunk * _CHUNK + i
         signs = tuple(-1 if (best_index >> (n - 1 - i)) & 1 else 1 for i in range(n))
-        return hits, margin, ctx.sqrt(best_ns), SignAssignment(signs)
+        return hits, margin, policy.sqrt(best_ns), SignAssignment(signs)
 
 
 def enumerate_signed_sums(

@@ -11,8 +11,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from mpmath import mp
-
 from .balancing import BalanceReport, FalsifierResult
 from .core import EnumerationReport, VectorConfig
 from .precision import PrecisionPolicy
@@ -21,12 +19,11 @@ from .search import SearchResult
 
 def config_to_obj(config: VectorConfig, policy: PrecisionPolicy | None = None) -> dict:
     policy = policy or PrecisionPolicy.double()
-    ctx = policy.context()
     if policy.mode == "double":
         rows = [[float(x) for x in row] for row in config.vectors]
     else:
-        with ctx.active():
-            rows = [[ctx.decimal(ctx.scalar(x)) for x in row] for row in config.vectors]
+        with policy.active():
+            rows = [[policy.decimal(x) for x in row] for row in config.vectors]
     return {
         "dim": config.dim,
         "vectors": rows,
@@ -40,18 +37,19 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
     policy = policy or PrecisionPolicy.double()
     try:
         rows = []
-        for row in obj["vectors"]:
-            if not isinstance(row, list):  # a string would pass as its characters
-                raise TypeError
-            if policy.mode == "double":
-                rows.append(tuple(float(x) for x in row))
-            else:
-                with mp.workprec(policy.bits):
-                    rows.append(tuple(mp.mpf(x) for x in row))
-        dim, tolerance = int(obj["dim"]), float(obj.get("norm_tolerance", 1e-9))
+        with policy.active():
+            for row in obj["vectors"]:
+                # A string would pass as its characters, and true as 1.0.
+                if not isinstance(row, list) or any(type(x) is bool for x in row):
+                    raise TypeError
+                rows.append(tuple(policy.scalar(x) for x in row))
+        dim, tolerance = obj["dim"], obj.get("norm_tolerance", 1e-9)
+        if type(dim) is not int or type(tolerance) is bool:  # int(2.7) would read as 2
+            raise TypeError
+        tolerance = float(tolerance)
     except TypeError:  # obj, a row or an entry of the wrong JSON type
-        raise ValueError('a configuration is a JSON object with "dim" and "vectors", '
-                         "a list of lists of numbers") from None
+        raise ValueError('a configuration is a JSON object with an integer "dim" and '
+                         '"vectors", a list of lists of numbers') from None
     return VectorConfig(
         dim=dim,
         vectors=tuple(rows),
@@ -71,20 +69,16 @@ def save_config(config: VectorConfig, path: str, policy: PrecisionPolicy | None 
         fh.write("\n")
 
 
-def _decimal(value, policy: PrecisionPolicy) -> str:
-    ctx = policy.context()
-    with ctx.active():
-        return ctx.decimal(value)
-
-
 def report_to_obj(report: EnumerationReport, policy: PrecisionPolicy | None = None) -> dict:
     policy = policy or PrecisionPolicy.double()
+    with policy.active():
+        radius, min_norm = policy.decimal(report.radius), policy.decimal(report.min_norm)
     return {
         "total": report.total,
         "hits": report.hits,
         "probability": f"{report.probability.numerator}/{report.probability.denominator}",
-        "radius": _decimal(report.radius, policy),
-        "min_norm": _decimal(report.min_norm, policy),
+        "radius": radius,
+        "min_norm": min_norm,
         "argmin": list(report.argmin.signs),
         "margin": repr(report.margin),
     }

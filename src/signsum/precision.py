@@ -1,15 +1,16 @@
-"""Numeric precision policies and the scalar backends they select.
+"""Numeric precision policies: how signsum computes and classifies.
 
 Three modes:
 
 * ``double``   -- plain Python floats (IEEE binary64).
-* ``extended`` -- mpmath arbitrary-precision floats (mpf) at a configurable
-  bit count (>= 64).
-* ``interval`` -- the same mpf arithmetic at >= 53 bits, plus a certificate:
-  enumeration raises AmbiguousClassification for any sum whose computed
-  norm^2 lies within the proven rounding bound ``core.rounding_bound`` of
-  the threshold.  Every result it does return equals extended mode's at the
-  same bits.
+* ``extended`` -- mpmath arbitrary-precision floats (mpf) at 64 to 1098 bits.
+* ``interval`` -- the same mpf arithmetic at 53 to 1098 bits, plus a
+  certificate: enumeration raises AmbiguousClassification for any sum whose
+  computed norm^2 lies within the proven rounding bound ``core.rounding_bound``
+  of the threshold.  Every result it does return equals extended mode's at
+  the same bits.
+
+The policy's methods are the only code in signsum that picks float or mpf.
 
 A policy also carries the classification tolerance: a signed sum counts as a
 hit at radius r when ``norm**2 <= r**2 + tolerance``.  The double-mode
@@ -23,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -42,7 +44,7 @@ def default_tolerance(mode: str, bits: int) -> float:
 
 @dataclass(frozen=True)
 class PrecisionPolicy:
-    """How enumeration arithmetic is performed and hits are classified."""
+    """How arithmetic is performed and hits are classified."""
 
     mode: str = "double"
     bits: int = 53
@@ -57,6 +59,9 @@ class PrecisionPolicy:
             raise ValueError("extended mode requires at least 64 bits")
         if self.mode == "interval" and self.bits < 53:
             raise ValueError("interval mode requires at least 53 bits")
+        # Past 1098 bits the default tolerance 2^(24 - bits) underflows to 0.
+        if self.mode != "double" and self.bits > 1098:
+            raise ValueError(f"{self.mode} mode takes at most 1098 bits")
         if not (0 <= self.classification_tolerance < math.inf):
             raise ValueError("classification tolerance must be finite and nonnegative")
 
@@ -97,61 +102,29 @@ class PrecisionPolicy:
             return f"ext:{self.bits}"
         return f"interval:{self.bits}"
 
-    def context(self) -> "ScalarContext":
+    def active(self):
+        """Arithmetic on the policy's scalars runs inside ``with policy.active():``."""
+        return contextlib.nullcontext() if self.mode == "double" else mp.workprec(self.bits)
+
+    def scalar(self, x):
+        """x (a number, string, Fraction or mpf) as a float, or an mpf at the active bits."""
         if self.mode == "double":
-            return _DoubleContext(self)
-        return _ExtendedContext(self)
-
-
-class ScalarContext:
-    """Arithmetic backend chosen by a policy.
-
-    All enumeration arithmetic must happen inside ``with ctx.active():`` so
-    that mpmath's working precision is pinned for the duration.  A backend
-    converts with ``scalar``, and has ``sqrt`` and ``decimal`` (a string that
-    round-trips at its precision).  Scalars support the ordinary operators,
-    and ``array`` packs them into numpy arrays (float64, or object arrays of
-    mpf) that the enumeration kernel adds, multiplies and compares.
-    """
-
-    dtype = object
-
-    def __init__(self, policy: PrecisionPolicy):
-        self.policy = policy
-
-    def active(self):
-        return contextlib.nullcontext()
-
-    def array(self, rows) -> np.ndarray:
-        """Rows of scalars as a 2-D array of this context's scalars."""
-        return np.array([[self.scalar(x) for x in row] for row in rows], dtype=self.dtype)
-
-
-class _DoubleContext(ScalarContext):
-    dtype = float
-
-    def scalar(self, x):
-        return float(x)
-
-    def sqrt(self, x):
-        return float(x) ** 0.5
-
-    def decimal(self, x):
-        return repr(float(x))
-
-
-class _ExtendedContext(ScalarContext):
-    """mpf at the policy's bits; serves extended and interval mode alike."""
-
-    def active(self):
-        return mp.workprec(self.policy.bits)
-
-    def scalar(self, x):
+            return float(x)
+        if isinstance(x, Fraction):
+            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
         return mp.mpf(x)
 
-    def sqrt(self, x):
-        return mp.sqrt(x)
+    def array(self, rows) -> np.ndarray:
+        """Rows of scalars as a 2-D array: float64, or an object array of mpf."""
+        dtype = float if self.mode == "double" else object
+        return np.array([[self.scalar(x) for x in row] for row in rows], dtype=dtype)
 
-    def decimal(self, x):
-        digits = int(self.policy.bits * 0.30103) + 3
-        return mpmath.nstr(mp.mpf(x), digits)
+    def sqrt(self, x):
+        """Correctly rounded square root in the policy's arithmetic."""
+        return math.sqrt(x) if self.mode == "double" else mp.sqrt(x)
+
+    def decimal(self, x) -> str:
+        """A decimal string that round-trips at the policy's precision."""
+        if self.mode == "double":
+            return repr(float(x))
+        return mpmath.nstr(mp.mpf(x), int(self.bits * 0.30103) + 3)

@@ -102,7 +102,7 @@ def test_a1_exponential_counts():
             assert len(anti) == report.hits
             for signs in anti:
                 total = signed_sum(config, SignAssignment(signs), policy)
-                with policy.context().active():
+                with policy.active():
                     norm_sq = total[0] * total[0] + total[1] * total[1]
                     assert norm_sq <= 1 + policy.classification_tolerance
 

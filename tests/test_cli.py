@@ -221,6 +221,19 @@ class TestFlags:
         ({}, ["construct", "random:2"]),
         ({}, ["enumerate", "--construct", "orthomult:2", "--r", "1"]),
         ({}, ["construct", "exponential:9:1/0"]),
+        ({}, ["enumerate", "--construct", "exponential:9", "--r", "1",
+              "--precision", "interval:1200"]),
+        # JSON's true is not the number 1, and a dimension is an integer.
+        ({"c.json": {"dim": 2.7, "vectors": [[1.0, 0.0], [0.0, 1.0]]}},
+         ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"c.json": {"dim": 2, "vectors": [[True, 0.0], [0.0, 1.0]]}},
+         ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"c.json": {"dim": 2, "vectors": [[True, 0.0], [0.0, 1.0]]}},
+         ["enumerate", "--config", "c.json", "--r", "1", "--precision", "ext:128"]),
+        ({"c.json": {"dim": 2, "vectors": [[1.0, 0.0]], "norm_tolerance": True}},
+         ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"lam.json": [True, 0, 0]}, ["balance", "--construct", "orthomult:2:1,2",
+                                      "--algo", "greedy", "--lambda", "lam.json"]),
     ])
     def test_malformed_input_exits_2(self, workdir, capsys, files, argv):
         for name, obj in files.items():

@@ -137,6 +137,15 @@ class TestMinSignedNorm:
         value, _ = min_signed_norm(config)
         assert value == pytest.approx(math.sqrt(3), abs=1e-15)
 
+    def test_double_norm_is_the_correctly_rounded_root(self):
+        # float ** 0.5 gives 0.482862194463511 here, one ulp below the root.
+        config = random_unit_config(2, 5, seed=1393)
+        norm_sq = min(chunk.min() for chunk in core.half_norms_sq(config.as_array()))
+        assert norm_sq == 0.23315589884211751
+        value, _ = min_signed_norm(config)
+        assert value == math.sqrt(norm_sq) == 0.48286219446351103
+        assert enumerate_signed_sums(config, 1.0).min_norm == value
+
 
 def _cross_check(config, radius):
     report = enumerate_signed_sums(config, radius)

@@ -37,6 +37,15 @@ class TestPolicy:
         assert default_tolerance("extended", 256) == 2.0 ** (24 - 256)
         assert PrecisionPolicy.extended(256).classification_tolerance == 2.0 ** (24 - 256)
 
+    def test_bits_stop_where_the_default_tolerance_underflows(self):
+        assert PrecisionPolicy.parse("ext:1098").classification_tolerance == 5e-324
+        assert PrecisionPolicy.parse("interval:1098").classification_tolerance == 5e-324
+        for text in ("ext:1099", "interval:1099", "interval:1200"):
+            with pytest.raises(ValueError, match="at most 1098 bits"):
+                PrecisionPolicy.parse(text)
+        with pytest.raises(ValueError):  # an explicit tolerance does not lift the cap
+            PrecisionPolicy.extended(1099, tolerance=1e-300)
+
 
 class TestExtended:
     def test_counts_beyond_double(self):
@@ -143,9 +152,8 @@ class TestRoundingBound:
     def test_covers_the_kernel_error(self, config, spec):
         """No computed norm^2 is further from the exact one than the bound."""
         policy = PrecisionPolicy.parse(spec)
-        ctx = policy.context()
-        with ctx.active():
-            computed = np.concatenate(list(half_norms_sq(ctx.array(config.vectors))))
+        with policy.active():
+            computed = np.concatenate(list(half_norms_sq(policy.array(config.vectors))))
         worst = max(abs(_exact(c) - e)
                     for c, e in zip(computed, _exact_half_norms_sq(config)))
         assert worst <= Fraction(rounding_bound(config.vectors, policy.bits))
