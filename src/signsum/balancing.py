@@ -270,10 +270,7 @@ def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
 def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> tuple[list[int], np.ndarray]:
     """Eliminate-then-greedy on raw rows; returns signs and the achieved sum
     vector sum_i (lam_i + eta_i) v_i."""
-    n, d = rows.shape
-    if n == 0:
-        return [], np.zeros(d)
-    values, residual = _eliminate_rows(rows, lam, d)
+    values, residual = _eliminate_rows(rows, lam, rows.shape[1])
     # Fixed coordinates take the opposite sign: exact cancellation.
     signs = [0 if abs(v) < 1.0 else -int(v) for v in values.tolist()]
     # Largest fractional coordinate first: if some |lam| > delta survives,
@@ -303,14 +300,10 @@ def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
     )
 
 
-def detect_oblique(config: VectorConfig, alpha: float):
-    """First (lexicographic) pair of indices whose inner product lies
-    strictly inside (alpha, 1 - alpha) in absolute value, or None."""
-    if not 0.0 < alpha < 0.5:
-        raise ValueError(f"alpha must be in (0, 1/2), got {alpha!r}")
-    rows = config.as_array()
-    gram = rows @ rows.T
-    n = config.n
+def _oblique_pair(gram: np.ndarray, alpha: float):
+    """First (lexicographic) pair with alpha < |gram[i, j]| < 1 - alpha, or None.
+    The loop exits at the first hit; a vectorised triangle scan cannot."""
+    n = len(gram)
     for i in range(n):
         for j in range(i + 1, n):
             if alpha < abs(gram[i, j]) < 1.0 - alpha:
@@ -318,68 +311,59 @@ def detect_oblique(config: VectorConfig, alpha: float):
     return None
 
 
+def detect_oblique(config: VectorConfig, alpha: float):
+    """First (lexicographic) pair of indices whose inner product lies
+    strictly inside (alpha, 1 - alpha) in absolute value, or None."""
+    if not 0.0 < alpha < 0.5:
+        raise ValueError(f"alpha must be in (0, 1/2), got {alpha!r}")
+    rows = config.as_array()
+    return _oblique_pair(rows @ rows.T, alpha)
+
+
 def cluster_vectors(config: VectorConfig, zeta: float) -> Clustering:
     """Partition into near-parallel clusters under |<x, y>| >= 1 - zeta^(1/4).
 
     Requires zeta <= 0.0016 (else the relation need not be transitive) and
-    that no pair be zeta^(1/4)-oblique.  Transitivity is verified on the
-    actual input, not assumed.
+    that no pair be zeta^(1/4)-oblique.  Each index's cluster is named by its
+    lowest near-parallel index; that the relation is an equivalence is
+    verified on the actual input, not assumed.
     """
     if not 0.0 < zeta <= 0.0016:
         raise ValueError(f"zeta = {zeta!r} outside (0, 0.0016]")
     alpha = zeta**0.25
-    pair = detect_oblique(config, alpha)
+    rows = config.as_array()
+    gram = rows @ rows.T
+    pair = _oblique_pair(gram, alpha)
     if pair is not None:
-        rows = config.as_array()
         i, j = pair
         raise ObliquePairPresent(i, j, float(rows[i] @ rows[j]))
 
-    rows = config.as_array()
-    gram = rows @ rows.T
-    n = config.n
-    parent = list(range(n))
+    near = np.abs(gram) >= 1.0 - alpha
+    np.fill_diagonal(near, True)
+    rep = near.argmax(axis=1)
+    same = rep[:, None] == rep
+    if not (near == same).all():
+        a, b = np.argwhere(near != same)[0]
+        raise TransitivityViolation(
+            f"near-parallel is not transitive: |<v_{a}, v_{b}>| = {abs(gram[a, b]):.6g} "
+            f"{'>=' if near[a, b] else '<'} {1.0 - alpha:.6g}, but their lowest "
+            f"near-parallel indices are {rep[a]} and {rep[b]}")
+    named = list(enumerate(rep.tolist()))
+    representatives = tuple(i for i, r in named if i == r)
+    if len(representatives) > config.dim:
+        raise TooManyClusters(f"{len(representatives)} clusters in dimension {config.dim}: "
+                              "the no-oblique precondition must have been broken")
 
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(gram[i, j]) >= 1.0 - alpha:
-                parent[find(i)] = find(j)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
-    if len(clusters) > config.dim:
-        raise TooManyClusters(
-            f"{len(clusters)} clusters in dimension {config.dim}: "
-            "the no-oblique precondition must have been broken"
-        )
-
-    representatives = tuple(c[0] for c in clusters)
-    orientation = [1] * n
-    for cluster, rep in zip(clusters, representatives):
-        for i in cluster:
-            if i == rep:
-                continue
-            if abs(gram[rep, i]) < 1.0 - alpha:
-                raise TransitivityViolation(
-                    f"indices {rep} and {i} share a cluster via a chain but "
-                    f"|<v_{rep}, v_{i}>| = {abs(gram[rep, i]):.6g} < {1.0 - alpha:.6g}"
-                )
-            orientation[i] = 1 if gram[rep, i] >= 0 else -1
-        for a in cluster:
-            for b in cluster:
-                if a < b and orientation[a] * orientation[b] * gram[a, b] < 1.0 - alpha - 1e-12:
-                    raise TransitivityViolation(
-                        f"oriented pair ({a}, {b}) has inner product "
-                        f"{orientation[a] * orientation[b] * gram[a, b]:.6g} < {1.0 - alpha:.6g}"
-                    )
-    return Clustering(clusters, representatives, tuple(orientation))
+    clusters = tuple(tuple(i for i, r in named if r == c) for c in representatives)
+    orientation = np.where(gram[rep, np.arange(config.n)] >= 0, 1, -1)
+    oriented = orientation[:, None] * orientation * gram
+    bad = same & (oriented < 1.0 - alpha - 1e-12)
+    np.fill_diagonal(bad, False)  # beck-mode norms below 1 would fail on the diagonal
+    if bad.any():
+        a, b = np.argwhere(bad)[0]  # a < b, as bad is symmetric
+        raise TransitivityViolation(f"oriented pair ({a}, {b}) has inner product "
+                                    f"{oriented[a, b]:.6g} < {1.0 - alpha:.6g}")
+    return Clustering(clusters, representatives, tuple(orientation.tolist()))
 
 
 def _cluster_guarantee(d: int, zeta: float) -> float:
@@ -419,14 +403,10 @@ def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> Balance
     assert len(leftovers) <= d - 1, "parity bound on odd clusters violated"
 
     signs = [0] * config.n
-    if leftovers:
-        long_rows = oriented[leftovers]
-        (long_signs,), (x_long,) = _greedy_rows(long_rows, np.zeros(len(leftovers)),
-                                                [range(len(leftovers))])
-        for pos, i in enumerate(leftovers):
-            signs[i] = int(long_signs[pos]) * clustering.orientation[i]
-    else:
-        x_long = np.zeros(d)
+    (long_signs,), (x_long,) = _greedy_rows(oriented[leftovers], np.zeros(len(leftovers)),
+                                            [range(len(leftovers))])
+    for pos, i in enumerate(leftovers):
+        signs[i] = int(long_signs[pos]) * clustering.orientation[i]
 
     if short_pairs:
         shorts = np.array(short_vecs)
@@ -542,11 +522,6 @@ def paper_epsilon(d: int) -> float:
     return 2.0**-100 * float(d) ** -80
 
 
-def _approximate_candidate(config: VectorConfig) -> tuple[float, tuple[int, ...]]:
-    inner = approximate_point(config)
-    return inner.achieved_norm, inner.signs.signs
-
-
 def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 0) -> BalanceReport:
     """Combined sign balancer for unit vectors.
 
@@ -571,17 +546,13 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
 
     if n % 2 == d % 2:
         case, certificates = "fallback", [0.0]
-        portfolio = lambda: [_approximate_candidate(config)]
+        portfolio = lambda: [approximate_point(config)]
     elif (pair := detect_oblique(config, zeta**0.25)) is None:
         # The cluster bound is closed form; cluster_vectors still raises when
         # its preconditions fail, and cluster_and_pair runs only above the cap.
         cluster_vectors(config, zeta)
         case, certificates = "clustered", [eps_floor, d - _cluster_guarantee(d, zeta)**2]
-
-        def portfolio():
-            clustered = cluster_and_pair(config, zeta)
-            return [(clustered.achieved_norm, clustered.signs.signs),
-                    _approximate_candidate(config)]
+        portfolio = lambda: [cluster_and_pair(config, zeta), approximate_point(config)]
     else:
         # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
         # each later step adds at most 1 to the squared norm; the exact
@@ -596,27 +567,31 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)
-                splits.append((split.achieved_norm, split.signs.signs))
+                splits.append(split)
             except (ProjectionTooLong, NotOblique):
                 pass
 
         def portfolio():
             # The pair-first order runs in one batched pass with the random
-            # orders; a repeated sign row cannot win.
+            # orders; a repeated sign row cannot win.  The prefix law bounds
+            # each pass by sqrt(sum ||v_i||^2), which is sqrt(n) for unit vectors.
+            bound = math.sqrt(float(np.vecdot(rows, rows).sum()))
             rng = np.random.default_rng([seed, 1])
             orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
             orders += [rng.permutation(n) for _ in range(GREEDY_ORDERS - 1)]
             distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
-            greedy = [(float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)), sgn)
+            greedy = [BalanceReport("greedy", SignAssignment(sgn),
+                                    float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)),
+                                    bound)
                       for sgn in distinct]
-            return [_approximate_candidate(config), greedy[0], *splits, *greedy[1:]]
+            return [approximate_point(config), greedy[0], *splits, *greedy[1:]]
 
     if n <= EXHAUSTIVE_FALLBACK_CAP:
         achieved, signs = min_signed_norm(config)
     else:
         # min keeps the first of equal norms, as a strict < scan would.
-        achieved, best = min(portfolio(), key=lambda c: c[0])
-        signs = SignAssignment(best)
+        best = min(portfolio(), key=lambda report: report.achieved_norm)
+        achieved, signs = best.achieved_norm, best.signs
     return BalanceReport(
         algorithm="parity_balance",
         signs=signs,

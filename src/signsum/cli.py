@@ -33,7 +33,9 @@ EXIT_PRECISION = 3
 
 
 _SHARED_FLAGS = {
-    "precision": dict(default="double", help="double | ext:<bits> | interval[:<bits>]"),
+    "precision": dict(default="double", help="double | ext:<bits> | interval[:<bits>]; "
+                      "balance and falsify only build or read their input with it "
+                      "and compute in float64"),
     "tolerance": dict(type=float, default=None, help="classification tolerance override"),
     "seed": dict(type=int, default=0),
     "out": dict(default=None, help="output file (default: stdout)"),

@@ -84,15 +84,12 @@ class PrecisionPolicy:
     @classmethod
     def parse(cls, text: str) -> "PrecisionPolicy":
         """Parse CLI-style specs: ``double``, ``ext:<bits>``, ``interval[:<bits>]``."""
-        parts = text.split(":")
-        if parts[0] == "double" and len(parts) == 1:
+        mode, *rest = text.split(":")
+        if mode == "double" and not rest:
             return cls.double()
-        if parts[0] in ("ext", "extended"):
-            bits = int(parts[1]) if len(parts) > 1 else 256
-            return cls.extended(bits)
-        if parts[0] == "interval":
-            bits = int(parts[1]) if len(parts) > 1 else 256
-            return cls.interval(bits)
+        if mode in ("ext", "extended", "interval") and len(rest) <= 1:
+            bits = int(rest[0]) if rest else 256
+            return cls.interval(bits) if mode == "interval" else cls.extended(bits)
         raise ValueError(f"cannot parse precision spec {text!r}")
 
     def spec_string(self) -> str:

@@ -33,6 +33,7 @@ from signsum.errors import (
     ParityMismatch,
     ProjectionTooLong,
     TooLarge,
+    TooManyClusters,
     TransitivityViolation,
 )
 
@@ -258,6 +259,26 @@ class TestClustering:
         with pytest.raises(ValueError):
             cluster_vectors(validate_config([(1, 0)]), 0.01)
 
+    def test_too_many_clusters(self):
+        """The 7 unit vertices of a regular simplex in R^6 meet pairwise at
+        -1/6: at alpha = 0.2 no pair is oblique and none near-parallel, so
+        there are 7 singleton clusters in dimension 6."""
+        centred = np.eye(7) - 1.0 / 7
+        rows = centred @ np.linalg.svd(centred)[2][:6].T
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        config = validate_config(rows)
+        assert np.allclose(config.as_array() @ config.as_array().T, 7 / 6 * np.eye(7) - 1 / 6)
+        with pytest.raises(TooManyClusters):
+            cluster_vectors(config, 0.0016)
+
+    def test_transitivity_violation(self):
+        """Vectors of norm 1.1 at 0, 45 and 90 degrees: v0 ~ v1 ~ v2 at
+        alpha = 0.2 (inner product 0.856 >= 0.8), yet <v0, v2> = 0."""
+        s = 1.1 / math.sqrt(2)
+        config = validate_config([(1.1, 0), (s, s), (0, 1.1)], mode="beck", tolerance=0.2)
+        with pytest.raises(TransitivityViolation):
+            cluster_vectors(config, 0.0016)
+
 
 class TestClusterAndPair:
     def test_two_dimensional_example(self):
@@ -471,6 +492,39 @@ class TestParityBalance:
                 cases[report.case_taken] += 1
         assert cases["oblique"] >= 50
         assert cases["fallback"] == 60 and cases["clustered"] >= 60
+
+    @pytest.mark.parametrize("d,n", [(2, 13), (3, 14), (4, 15)])
+    def test_clustered_above_cap_answers_with_the_portfolio(self, d, n):
+        """Above the cap the clustered branch answers with the first best of
+        cluster_and_pair and approximate_point, under the cluster bound."""
+        jitter = np.random.default_rng([d, n])
+        rows = np.repeat(np.eye(d), jitter.multinomial(n, [1.0 / d] * d), axis=0)
+        rows += 0.01 * jitter.standard_normal(rows.shape)
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        config = validate_config(rows[jitter.permutation(n)])
+        assert n > balancing.EXHAUSTIVE_FALLBACK_CAP
+        report = parity_balance(config)
+        assert report.case_taken == "clustered"
+        best = min([cluster_and_pair(config), approximate_point(config)],
+                   key=lambda member: member.achieved_norm)
+        assert (report.signs, report.achieved_norm) == (best.signs, best.achieved_norm)
+        assert report.achieved_norm <= report.guarantee
+
+    def test_greedy_members_bounded_by_the_prefix_law(self):
+        """Beck-mode norms of 1.05, each vector after the oblique pair
+        orthogonal to the pair-first greedy sum: that pass ends above sqrt(n),
+        within the prefix law's sqrt(sum ||v_i||^2), and loses the portfolio."""
+        rows = [1.05 * np.array([1.0, 0.0]), 1.05 * np.array([math.cos(1.2), math.sin(1.2)])]
+        s = min(rows[0] + rows[1], rows[0] - rows[1], key=lambda x: x @ x)
+        for _ in range(11):
+            rows.append(1.05 * np.array([-s[1], s[0]]) / np.linalg.norm(s))
+            s = min(s + rows[-1], s - rows[-1], key=lambda x: x @ x)
+        config = validate_config(rows, mode="beck", tolerance=0.1)
+        pair_first = greedy_pass(config.as_array(), np.zeros(13), range(13))[1]
+        assert np.linalg.norm(pair_first) > math.sqrt(13)
+        report = parity_balance(config)
+        assert report.case_taken == "oblique"
+        assert report.achieved_norm <= report.guarantee
 
     def test_case_tag_for_oblique(self):
         config = random_unit_config(3, 4, seed=0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from signsum import search as search_mod
 from signsum.cli import build_parser, main
 from signsum.jsonio import (
     config_from_obj,
@@ -102,6 +103,13 @@ class TestExitCodes:
         assert main(["construct", "random:2:6", "--seed", "0", "--out", "r26.json"]) == 0
         assert main(["enumerate", "--config", "r26.json", "--r", "0.28234820914785475",
                      "--precision", "interval:53", "--tolerance", "0"]) == 3
+
+    def test_trailing_precision_field_is_validation(self, workdir, capsys):
+        """The spec used to parse as ext:128, and the manifest recorded that."""
+        assert main(["enumerate", "--construct", "exponential:5", "--r", "1",
+                     "--precision", "ext:128:junk"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "ext:128:junk" in err
 
     def test_too_large_is_validation(self, workdir):
         assert main(["falsify", "--construct", "random:2:40", "--r", "1", "--budget", "1"]) == 2
@@ -377,6 +385,20 @@ class TestSearchAndSweep:
         assert not result["counterexample_candidate"]
         assert len(result["restart_bests"]) == 4
 
+    def test_counterexample_artifact(self, workdir, monkeypatch):
+        """A margin below zero makes a single unit vector (min norm 1 > 1 - 0.5)
+        a candidate; the artifact re-enumerates it at radius 0.5."""
+        monkeypatch.setattr(search_mod, "COUNTEREXAMPLE_MARGIN", -0.5)
+        assert main(["search", "--d", "2", "--n", "1", "--restarts", "1",
+                     "--steps", "5", "--out", "s.json"]) == 0
+        assert json.load(open("s.json"))["result"]["counterexample_candidate"]
+        artifact = json.load(open("s.json.counterexample.json"))
+        assert artifact["manifest"]["command"][:2] == ["signsum", "search"]
+        assert artifact["config"]["dim"] == 2 and len(artifact["config"]["vectors"]) == 1
+        assert artifact["enumeration_radius"] == 0.5
+        assert artifact["enumeration"]["total"] == 2
+        assert artifact["enumeration"]["hits"] == 0
+
     def test_sweep_csv(self, workdir):
         assert main(["sweep", "--dmax", "2", "--nmax", "3", "--restarts", "3",
                      "--steps", "300", "--format", "csv", "--out", "sweep.csv"]) == 0
@@ -400,6 +422,17 @@ class TestDecayCommand:
                      "--out", "decay.csv"]) == 0
         rows = list(csv.reader(open("decay.csv")))
         assert [row[2] for row in rows[1:]] == ["0", "0", "0"]
+
+    def test_default_json_skips_parities_without_a_member(self, workdir, capsys):
+        """Exponential skips even n; orthomult at d = 2 skips odd n."""
+        assert main(["decay", "--families", "exponential,orthomult", "--n-list", "3,4,5",
+                     "--d", "2", "--r", "1"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj == {
+            "columns": ["family", "n", "hits", "probability"],
+            "rows": [["exponential", 3, 4, "1/2"], ["exponential", 5, 8, "1/4"],
+                     ["orthomult", 4, 0, "0/1"]],
+        }
 
     def test_random_family_positive_and_decreasing_trend(self, workdir):
         assert main(["decay", "--families", "random", "--n-list", "3,5,7,9,11",

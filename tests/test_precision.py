@@ -32,6 +32,11 @@ class TestPolicy:
         with pytest.raises(ValueError):
             PrecisionPolicy("double", 53, -1e-9)
 
+    @pytest.mark.parametrize("text", ["ext:128:junk", "interval:64:x", "extended:70:1"])
+    def test_rejects_trailing_fields(self, text):
+        with pytest.raises(ValueError, match="cannot parse precision spec"):
+            PrecisionPolicy.parse(text)
+
     def test_tolerance_scales_with_precision(self):
         assert default_tolerance("double", 53) == 1e-12
         assert default_tolerance("extended", 256) == 2.0 ** (24 - 256)
