@@ -3,9 +3,10 @@
 The toolbox, roughly in order of sophistication:
 
 * ``greedy_signs``       -- process vectors in order, always taking the sign
-  that keeps the running sum shortest; the running squared norm never
-  exceeds the number of vectors processed.  One numpy kernel runs a batch
-  of orders step by step, a single order being a batch of one.
+  that keeps the running sum shortest; by the prefix law the running
+  squared norm never exceeds the sum of the squared norms processed.  One
+  numpy kernel runs a batch of orders step by step, a single order being a
+  batch of one.
 * ``eliminate``          -- round relaxed coefficients to +/-1 along
   nullspace directions, preserving the weighted sum, until at most k
   fractional coefficients remain.
@@ -146,8 +147,22 @@ def _as_lambda(config: VectorConfig, lam) -> np.ndarray:
             f"{values.size} coefficients for {config.n} vectors"
         )
     if not np.all(np.abs(values) <= 1.0):
-        CoefficientVector(tuple(values))  # raises OutOfRange with the index
+        CoefficientVector(tuple(values.tolist()))  # raises OutOfRange with the index
     return values
+
+
+def _prefix_bound(rows: np.ndarray) -> float:
+    """The prefix law's bound on every greedy pass over ``rows``: each step
+    adds at most (1 - lam_i^2) ||v_i||^2 to the running squared norm, so
+    ||s_m||^2 <= sum_{i<=m} ||v_i||^2, which is m for unit vectors."""
+    return math.sqrt(float(np.vecdot(rows, rows).sum()))
+
+
+def _report(algorithm: str, rows: np.ndarray, lam, signs: np.ndarray, guarantee: float,
+            case_taken: str | None = None) -> BalanceReport:
+    """The report of integer ``signs``, measuring ||sum (lam_i + eta_i) v_i||."""
+    return BalanceReport(algorithm, SignAssignment(tuple(signs.tolist())),
+                         float(np.linalg.norm((lam + signs) @ rows)), guarantee, case_taken)
 
 
 _PLUS_MINUS = np.array([1.0, -1.0])[:, None, None]
@@ -179,19 +194,15 @@ def greedy_signs(config: VectorConfig, lam=None) -> BalanceReport:
     """One pass over the vectors, each sign chosen to keep the running sum
     shortest (ties to +1).
 
-    The running sum obeys ||s_m||^2 <= m at every step, so the result is
-    guaranteed no worse than sqrt(n).
+    The running sum obeys the prefix law ||s_m||^2 <= sum_{i<=m} ||v_i||^2
+    at every step, so the result is guaranteed no worse than
+    sqrt(sum ||v_i||^2): sqrt(n) for unit vectors, more for beck-mode
+    vectors longer than 1.
     """
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
     (signs,), _ = _greedy_rows(rows, lam_arr, [range(config.n)])
-    achieved = float(np.linalg.norm((lam_arr + signs) @ rows))
-    return BalanceReport(
-        algorithm="greedy",
-        signs=SignAssignment(tuple(signs.tolist())),
-        achieved_norm=achieved,
-        guarantee=math.sqrt(config.n),
-    )
+    return _report("greedy", rows, lam_arr, signs, _prefix_bound(rows))
 
 
 _FRACTIONAL_SNAP = 5e-13
@@ -267,20 +278,17 @@ def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
     )
 
 
-def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Eliminate-then-greedy on raw rows; returns signs and the achieved sum
-    vector sum_i (lam_i + eta_i) v_i."""
+def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Eliminate-then-greedy on raw rows; returns the integer signs."""
     values, residual = _eliminate_rows(rows, lam, rows.shape[1])
-    # Fixed coordinates take the opposite sign: exact cancellation.
-    signs = [0 if abs(v) < 1.0 else -int(v) for v in values.tolist()]
     # Largest fractional coordinate first: if some |lam| > delta survives,
     # the first step already banks a (1-delta)^2 <= 1-delta start.
     residual.sort(key=lambda i: (-abs(values[i]), i))
     (greedy,), _ = _greedy_rows(rows, values, [residual])
-    for i in residual:
-        signs[i] = int(greedy[i])
-    total = (lam + signs) @ rows
-    return signs, total
+    # Fixed coordinates (exactly +/-1) take the opposite sign: exact
+    # cancellation.  astype truncates the fractional ones to 0, and the
+    # greedy signs are 0 everywhere else.
+    return greedy - values.astype(int)
 
 
 def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
@@ -290,14 +298,8 @@ def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
     fractional survivors in decreasing |lam| order."""
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
-    signs, total = _approximate_rows(rows, lam_arr)
-    achieved = float(np.linalg.norm(total))
-    return BalanceReport(
-        algorithm="approximate_point",
-        signs=SignAssignment(tuple(signs)),
-        achieved_norm=achieved,
-        guarantee=math.sqrt(config.dim),
-    )
+    return _report("approximate_point", rows, lam_arr, _approximate_rows(rows, lam_arr),
+                   math.sqrt(config.dim))
 
 
 def _oblique_pair(gram: np.ndarray, alpha: float):
@@ -388,50 +390,34 @@ def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> Balance
         )
     clustering = cluster_vectors(config, zeta)
     rows = config.as_array()
-    oriented = rows * np.array(clustering.orientation)[:, None]
-
-    short_vecs: list[np.ndarray] = []
-    short_pairs: list[tuple[int, int]] = []
-    leftovers: list[int] = []
-    for cluster in clustering.clusters:
-        for t in range(len(cluster) // 2):
-            a, b = cluster[2 * t], cluster[2 * t + 1]
-            short_vecs.append(oriented[b] - oriented[a])
-            short_pairs.append((a, b))
-        if len(cluster) % 2 == 1:
-            leftovers.append(cluster[-1])
+    orientation = np.array(clustering.orientation)
+    oriented = rows * orientation[:, None]
+    # Each cluster pairs (c[0], c[1]), (c[2], c[3]), ...; an odd one leaves c[-1].
+    firsts = [i for c in clustering.clusters for i in c[:len(c) - 1:2]]
+    seconds = [i for c in clustering.clusters for i in c[1::2]]
+    leftovers = [c[-1] for c in clustering.clusters if len(c) % 2]
     assert len(leftovers) <= d - 1, "parity bound on odd clusters violated"
 
-    signs = [0] * config.n
+    signs = np.zeros(config.n, dtype=int)
     (long_signs,), (x_long,) = _greedy_rows(oriented[leftovers], np.zeros(len(leftovers)),
                                             [range(len(leftovers))])
-    for pos, i in enumerate(leftovers):
-        signs[i] = int(long_signs[pos]) * clustering.orientation[i]
+    signs[leftovers] = long_signs
 
-    if short_pairs:
-        shorts = np.array(short_vecs)
+    if firsts:
+        shorts = oriented[seconds] - oriented[firsts]
         scale = float(np.max(np.linalg.norm(shorts, axis=1)))
         if scale > 1e-15:
-            pair_signs, x_short = _approximate_rows(shorts / scale,
-                                                    np.zeros(len(short_pairs)))
-            x_short = x_short * scale
+            units = shorts / scale
+            pair_signs = _approximate_rows(units, np.zeros(len(firsts)))
+            x_short = (pair_signs @ units) * scale
         else:
-            pair_signs = [1] * len(short_pairs)
+            pair_signs = np.ones(len(firsts), dtype=int)
             x_short = shorts.sum(axis=0)
         flip = -1 if float(x_long @ x_short) > 0.0 else 1
-        for t, (a, b) in enumerate(short_pairs):
-            eta = flip * pair_signs[t]
-            signs[b] = eta * clustering.orientation[b]
-            signs[a] = -eta * clustering.orientation[a]
-
-    achieved = float(np.linalg.norm(np.array(signs) @ rows))
-    return BalanceReport(
-        algorithm="cluster_pair",
-        signs=SignAssignment(tuple(signs)),
-        achieved_norm=achieved,
-        guarantee=_cluster_guarantee(d, zeta),
-        case_taken="clustered",
-    )
+        signs[seconds] = flip * pair_signs
+        signs[firsts] = -flip * pair_signs
+    return _report("cluster_pair", rows, 0.0, signs * orientation,
+                   _cluster_guarantee(d, zeta), "clustered")
 
 
 def projection_split(
@@ -471,49 +457,36 @@ def projection_split(
     basis = PlaneBasis.from_vectors(rows[iu], rows[iw])
     others = [i for i in range(config.n) if i not in (iu, iw)]
     bound = 2.0 * zeta**0.75
-    in_plane = {}
-    perp = {}
+    in_plane, perp = [], []
     for i in others:
         z_in, z_perp = project_onto_plane(rows[i], basis)
         length = float(np.linalg.norm(z_in))
         if length > bound + 1e-12:
             raise ProjectionTooLong(i, length, bound)
-        in_plane[i] = z_in
-        perp[i] = z_perp
+        in_plane.append(z_in)
+        perp.append(z_perp)
 
     # Orthonormal coordinates for the complement of P.
     Q, _ = np.linalg.qr(np.column_stack([rows[iu], rows[iw]]), mode="complete")
     comp = Q[:, 2:]  # d x (d-2)
-    perp_coords = np.array([comp.T @ perp[i] for i in others]).reshape(len(others), d - 2)
-    signs = [0] * config.n
-    sub_lam = np.array([lam_arr[i] for i in others])
-    perp_signs, _ = _approximate_rows(perp_coords, sub_lam)
-    for pos, i in enumerate(others):
-        signs[i] = perp_signs[pos]
+    perp_coords = np.array([comp.T @ z for z in perp]).reshape(len(others), d - 2)
+    signs = np.zeros(config.n, dtype=int)
+    signs[others] = _approximate_rows(perp_coords, lam_arr[others])
 
     residue = np.zeros(d)
-    for pos, i in enumerate(others):
-        residue += (lam_arr[i] + signs[i]) * in_plane[i]
+    for i, z_in in zip(others, in_plane):
+        residue += (lam_arr[i] + signs[i]) * z_in
 
-    best = None
-    for eu in (1, -1):
-        for ew in (1, -1):
-            cand = (lam_arr[iu] + eu) * rows[iu] + (lam_arr[iw] + ew) * rows[iw] + residue
-            val = float(cand @ cand)
-            if best is None or val < best[0]:
-                best = (val, eu, ew)
-    signs[iu], signs[iw] = best[1], best[2]
+    def plane_sq(eu: int, ew: int) -> float:
+        cand = (lam_arr[iu] + eu) * rows[iu] + (lam_arr[iw] + ew) * rows[iw] + residue
+        return float(cand @ cand)
 
-    achieved = float(np.linalg.norm((lam_arr + signs) @ rows))
+    # min keeps the first of equal values, as a strict < scan would.
+    signs[[iu, iw]] = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=lambda e: plane_sq(*e))
+
     plane_budget = math.sqrt(2.0 - math.sqrt(zeta)) + 4.0 * len(others) * zeta**0.75
-    guarantee = math.sqrt(d - 2 + plane_budget**2)
-    return BalanceReport(
-        algorithm="projection_split",
-        signs=SignAssignment(tuple(signs)),
-        achieved_norm=achieved,
-        guarantee=guarantee,
-        case_taken="oblique",
-    )
+    return _report("projection_split", rows, lam_arr, signs,
+                   math.sqrt(d - 2 + plane_budget**2), "oblique")
 
 
 # Worst-case guarantee for unit vectors regardless of structure; far from
@@ -573,17 +546,13 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
 
         def portfolio():
             # The pair-first order runs in one batched pass with the random
-            # orders; a repeated sign row cannot win.  The prefix law bounds
-            # each pass by sqrt(sum ||v_i||^2), which is sqrt(n) for unit vectors.
-            bound = math.sqrt(float(np.vecdot(rows, rows).sum()))
+            # orders; a repeated sign row cannot win.
+            bound = _prefix_bound(rows)
             rng = np.random.default_rng([seed, 1])
             orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
             orders += [rng.permutation(n) for _ in range(GREEDY_ORDERS - 1)]
-            distinct = dict.fromkeys(map(tuple, _greedy_rows(rows, np.zeros(n), orders)[0].tolist()))
-            greedy = [BalanceReport("greedy", SignAssignment(sgn),
-                                    float(np.linalg.norm(np.array(sgn, dtype=float) @ rows)),
-                                    bound)
-                      for sgn in distinct]
+            distinct = {s.tobytes(): s for s in _greedy_rows(rows, np.zeros(n), orders)[0]}
+            greedy = [_report("greedy", rows, 0.0, s, bound) for s in distinct.values()]
             return [approximate_point(config), greedy[0], *splits, *greedy[1:]]
 
     if n <= EXHAUSTIVE_FALLBACK_CAP:

@@ -325,16 +325,16 @@ def enumerate_signed_sums(
     """Count, exactly, the sign assignments whose signed sum lies in the
     closed ball of the given radius.
 
-    Raises OutOfRange for a negative or NaN radius, TooLarge past the cap,
-    and AmbiguousClassification in interval mode when some sum's computed
-    norm^2 lies within ``rounding_bound`` of r^2 + tol.  ``workers`` is
+    Raises OutOfRange for a negative or non-finite radius, TooLarge past the
+    cap, and AmbiguousClassification in interval mode when some sum's
+    computed norm^2 lies within ``rounding_bound`` of r^2 + tol.  ``workers`` is
     accepted and ignored, since enumeration runs in the calling thread; it
     stays because the benchmark harness (``perfbench/workloads.py``) passes
     ``workers=1``.
     """
     policy = policy or PrecisionPolicy.double()
-    if not float(radius) >= 0:
-        raise OutOfRange("radius must be nonnegative")
+    if not 0 <= float(radius) < math.inf:
+        raise OutOfRange("radius must be finite and nonnegative")
     hits, margin, min_norm, argmin = _walk(config, policy, radius)
     total = 1 << config.n
     return EnumerationReport(

@@ -83,8 +83,16 @@ class TestGreedy:
     def test_non_finite_lambda_rejected(self, bad):
         config = validate_config([(1, 0), (0, 1)])
         for balancer in (greedy_signs, approximate_point):
-            with pytest.raises(OutOfRange, match="coefficient 0"):
+            with pytest.raises(OutOfRange, match=r"coefficient 0 = (nan|inf) outside"):
                 balancer(config, [bad, 0.0])
+
+    def test_guarantee_is_the_prefix_law_beyond_unit_norm(self):
+        """Orthogonal beck-mode vectors of norm 1.05 end exactly at the
+        prefix law's sqrt(sum ||v_i||^2), which sqrt(n) undercuts."""
+        config = validate_config([(1.05, 0), (0, 1.05)], mode="beck", tolerance=0.1)
+        report = greedy_signs(config)
+        assert report.guarantee == math.sqrt(2 * 1.05**2)
+        assert report.achieved_norm == pytest.approx(report.guarantee, abs=1e-15)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_batched_orders_match_single_orders(self, seed):
@@ -323,6 +331,8 @@ class TestClusterAndPair:
                 rows.append(v / np.linalg.norm(v))
         config = validate_config(rows)
         report = cluster_and_pair(config)
+        assert report.achieved_norm == float(np.linalg.norm(
+            (np.zeros(n) + np.array(report.signs.signs)) @ config.as_array()))
         assert report.achieved_norm <= report.guarantee + 1e-9
         assert report.achieved_norm >= brute_min(config)[0] - 1e-12
 
@@ -386,6 +396,9 @@ class TestProjectionSplit:
         config = validate_config(rows)
         lam = rng.uniform(-1, 1, config.n) if seed % 2 else None
         report = projection_split(config, lam, pair=(0, 1), zeta=zeta)
+        lam = np.zeros(config.n) if lam is None else lam
+        assert report.achieved_norm == float(np.linalg.norm(
+            (lam + np.array(report.signs.signs)) @ config.as_array()))
         assert report.achieved_norm <= report.guarantee + 1e-9
 
 
@@ -628,7 +641,10 @@ class TestSoundnessAgainstOracle:
         n = int(rng.integers(2, 10))
         config = random_unit_config(d, n, seed=seed + 6000)
         exact, _ = brute_min(config)
+        lam = np.zeros(n)
         for report in (greedy_signs(config), approximate_point(config)):
+            assert report.achieved_norm == float(np.linalg.norm(
+                (lam + np.array(report.signs.signs)) @ config.as_array()))
             assert report.achieved_norm >= exact - 1e-12
             assert report.achieved_norm <= report.guarantee + 1e-9
         if n % 2 != d % 2:

@@ -132,12 +132,14 @@ class TestExitCodes:
         ["falsify", "--construct", "random:2:3", "--r", "nan"],
         ["falsify", "--construct", "random:2:3", "--r", "inf"],
         ["search", "--d", "2", "--n", "2", "--restarts", "1", "--steps", "5", "--target", "nan"],
+        ["enumerate", "--construct", "exponential:5", "--r", "inf"],
+        ["decay", "--n-list", "3", "--r", "inf"],
     ])
     def test_non_finite_threshold_is_validation(self, workdir, capsys, argv):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert "falsifier:" not in err and "best_value" not in err
+        assert "falsifier:" not in err and "best_value" not in err and "hits" not in err
 
 
 # The shared flags each subcommand reads; it must accept no other of them.
@@ -359,6 +361,15 @@ class TestBalanceCommand:
                      "--lambda", "lam.json", "--out", "b.json"]) == 0
         result = json.load(open("b.json"))["result"]
         assert float(result["achieved_norm"]) <= math.sqrt(2) + 1e-9
+
+    def test_greedy_beyond_unit_norm(self, workdir):
+        """Greedy ends at 1.05 * sqrt(2) here, above sqrt(n) but within the
+        prefix law."""
+        json.dump({"dim": 2, "vectors": [[1.05, 0], [0, 1.05]], "mode": "beck",
+                   "norm_tolerance": 0.1}, open("b2.json", "w"))
+        assert main(["balance", "--config", "b2.json", "--algo", "greedy", "--out", "b.json"]) == 0
+        result = json.load(open("b.json"))["result"]
+        assert float(result["achieved_norm"]) == pytest.approx(1.05 * math.sqrt(2))
 
 
 class TestFalsifyCommand:

@@ -106,10 +106,11 @@ class TestEnumerate:
         with pytest.raises(OutOfRange):
             enumerate_signed_sums(config, -0.5)
 
-    def test_nan_radius_rejected(self):
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_nan_radius_rejected(self, radius):
         config = validate_config([(1, 0)])
         with pytest.raises(OutOfRange):
-            enumerate_signed_sums(config, math.nan)
+            enumerate_signed_sums(config, radius)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(core, "ENUMERATION_CAP", 6)
