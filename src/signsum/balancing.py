@@ -51,6 +51,7 @@ from .errors import (
     OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
+    TooLarge,
     TooManyClusters,
     TransitivityViolation,
 )
@@ -291,15 +292,23 @@ def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return greedy - values.astype(int)
 
 
+def _approximation_bound(rows: np.ndarray) -> float:
+    """The prefix law over the d longest rows: elimination leaves at most d
+    fractional coordinates, and greedy adds at most (1 - lam_i^2) ||v_i||^2
+    for each of them; sqrt(d) for unit vectors."""
+    return math.sqrt(sum(sorted(np.vecdot(rows, rows).tolist())[-rows.shape[1]:]))
+
+
 def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
     """Signs eta with ||sum (lam_i + eta_i) v_i||^2 <= d for any number of
-    vectors of norm <= 1: eliminate down to <= d fractional coordinates
-    (their cancelled partners contribute exactly zero), then greedy over the
+    vectors of norm <= 1, and at most the sum of the d largest ||v_i||^2 in
+    beck mode: eliminate down to <= d fractional coordinates (their
+    cancelled partners contribute exactly zero), then greedy over the
     fractional survivors in decreasing |lam| order."""
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
     return _report("approximate_point", rows, lam_arr, _approximate_rows(rows, lam_arr),
-                   math.sqrt(config.dim))
+                   _approximation_bound(rows))
 
 
 def _oblique_pair(gram: np.ndarray, alpha: float):
@@ -498,13 +507,15 @@ def paper_epsilon(d: int) -> float:
 def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 0) -> BalanceReport:
     """Combined sign balancer for unit vectors.
 
-    The branch sets the guarantee sqrt(d - eps), eps the strongest of its
-    certificates.  With n and d of equal parity nothing beats sqrt(d) in
-    general, so the fallback branch certifies exactly sqrt(d).  Otherwise
-    the structure dichotomy dispatches: no oblique pair -> the cluster
-    bound of cluster_and_pair; an oblique pair -> the pair-first greedy
-    bound and the projection split when its preconditions hold.  Both are
-    never weaker than the theoretical floor paper_epsilon(d).
+    The branch sets the guarantee.  With n and d of equal parity nothing
+    beats sqrt(d) in general, so the fallback branch certifies
+    approximate_point's bound: sqrt(d) for unit vectors, the prefix law over
+    the d longest vectors in beck mode.  Otherwise the structure dichotomy
+    dispatches to sqrt(d - eps), eps the strongest certificate of the
+    branch: no oblique pair -> the cluster bound of cluster_and_pair; an
+    oblique pair -> the pair-first greedy bound and the projection split
+    when its preconditions hold.  Both assume unit vectors and are never
+    weaker than the theoretical floor paper_epsilon(d).
 
     The answer does not depend on the branch's certificates: it is the exact
     minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, and
@@ -518,13 +529,15 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
     eps_floor = paper_epsilon(d)
 
     if n % 2 == d % 2:
-        case, certificates = "fallback", [0.0]
+        # approximate_point's bound, which the exact minimiser can only beat.
+        case, guarantee = "fallback", _approximation_bound(config.as_array())
         portfolio = lambda: [approximate_point(config)]
     elif (pair := detect_oblique(config, zeta**0.25)) is None:
         # The cluster bound is closed form; cluster_vectors still raises when
         # its preconditions fail, and cluster_and_pair runs only above the cap.
         cluster_vectors(config, zeta)
-        case, certificates = "clustered", [eps_floor, d - _cluster_guarantee(d, zeta)**2]
+        case = "clustered"
+        guarantee = math.sqrt(d - max(eps_floor, d - _cluster_guarantee(d, zeta)**2))
         portfolio = lambda: [cluster_and_pair(config, zeta), approximate_point(config)]
     else:
         # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
@@ -543,6 +556,7 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
                 splits.append(split)
             except (ProjectionTooLong, NotOblique):
                 pass
+        guarantee = math.sqrt(d - max(certificates))
 
         def portfolio():
             # The pair-first order runs in one batched pass with the random
@@ -565,13 +579,16 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         algorithm="parity_balance",
         signs=signs,
         achieved_norm=achieved,
-        guarantee=math.sqrt(d - max(certificates)),
+        guarantee=guarantee,
         case_taken=case,
     )
 
 
 _ASCENT_LADDER = (0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008, 0.004, 0.002, 0.001)
 _MAX_SWEEPS_PER_STEP = 8
+# Byte budget 2^n * (n + d) * 8 for the falsifier's tables: the n inner
+# products and the d coordinates of every signed sum.  Keeps n <= 20 at d <= 12.
+FALSIFIER_BYTES = 1 << 28
 
 
 def approximation_falsifier(
@@ -584,13 +601,22 @@ def approximation_falsifier(
     maximise g(lam) = min_eta ||sum (lam_i + eta_i) v_i||^2 by coordinate
     ascent from seeded starts, and report a witness if g exceeds r.
 
-    The inner minimum is brute-forced over all 2^n assignments, so g values
-    are exact; absence of a witness is evidence, not proof.  Start points
-    mix the zonotope centre, uniform coefficients, and points inside random
+    Each start keeps, for every sign row eta of the table T = eta V, the
+    norm^2 ||(eta + lam) V||^2 and the inner products with each v_i.  A move
+    lam_i += t then scores min(norms + 2t inner_i) + t^2 ||v_i||^2, one pass
+    over the 2^n sums, and an accepted move updates both arrays.  Those
+    updates drift, so each start's value is settled from scratch at its end
+    by brute force over all 2^n assignments: reported g values are exact
+    and absence of a witness is evidence, not proof.  Start points mix the
+    zonotope centre, uniform coefficients, and points inside random
     d-dimensional sub-parallelotopes (the regions that cover the zonotope).
+    Raises TooLarge when the tables would pass FALSIFIER_BYTES.
     """
     n, d = config.n, config.dim
-    check_enumerable(n)  # before the half tables are built
+    check_enumerable(n)
+    if (size := (n + d) * 8 << n) > FALSIFIER_BYTES:  # before any table is built
+        raise TooLarge(f"the falsifier's tables for n = {n}, d = {d} take {size} bytes, "
+                       f"past FALSIFIER_BYTES = {FALSIFIER_BYTES}")
     if not (-math.inf < r < math.inf):
         raise OutOfRange(f"r must be finite, got {r!r}")
     if budget < 1:
@@ -603,6 +629,10 @@ def approximation_falsifier(
     def g(lam: np.ndarray) -> float:
         return min(float(ns.min()) for ns in combine(head + lam @ rows, tail))
 
+    table = sign_table(rows)
+    gram = rows @ rows.T
+    columns = gram[:, :, None]  # columns[i] is <v_i, v_j> as an (n, 1) column
+    diagonal = gram.diagonal().tolist()
     rng = np.random.default_rng(seed)
     best_val = -1.0
     best_lam = None
@@ -617,24 +647,40 @@ def approximation_falsifier(
             free = rng.choice(n, size=min(d, n), replace=False)
             lam[free] = rng.uniform(-1.0, 1.0, len(free))
         value = g(lam)
+        shifted = table + lam @ rows
+        norms = np.vecdot(shifted, shifted)
+        inner = rows @ shifted.T  # inner[i] holds <v_i, s> for every sum s
+        scored, kept = np.empty_like(norms), np.empty_like(norms)
         for step in _ASCENT_LADDER:
             for _ in range(_MAX_SWEEPS_PER_STEP):
                 improved = False
                 for i in range(n):
-                    base = lam[i]
+                    # Both candidates are scored on the table at lam[i], and
+                    # the table moves once, to the one taken.  At the centre
+                    # start the table is then exactly symmetric under
+                    # lam -> -lam, as g is, so +step and -step tie exactly.
+                    origin = base = float(lam[i])
                     for cand in (base + step, base - step):
                         cand = min(1.0, max(-1.0, cand))
                         if cand == base:
                             continue
-                        lam[i] = cand
-                        val = g(lam)
+                        t = cand - origin
+                        np.multiply(inner[i], 2.0 * t, out=scored)
+                        scored += norms
+                        val = float(scored.min()) + t * t * diagonal[i]
                         if val > value:
                             value = val
                             base = cand
                             improved = True
+                            scored, kept = kept, scored
+                    if base != origin:
+                        t = base - origin
+                        np.add(kept, t * t * diagonal[i], out=norms)
+                        inner += t * columns[i]
                         lam[i] = base
                 if not improved:
                     break
+        value = g(lam)  # the table drifts; settle the start from scratch
         if value > best_val:
             best_val = value
             best_lam = lam.copy()

@@ -58,9 +58,15 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
     )
 
 
+def reject_constant(name: str):
+    """``parse_constant`` for json.load: JSON's NaN, Infinity and -Infinity
+    are refused where the file is read, naming the constant."""
+    raise ValueError(f"non-finite JSON constant {name} is not a number")
+
+
 def load_config(path: str, policy: PrecisionPolicy | None = None) -> VectorConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_obj(json.load(fh), policy)
+        return config_from_obj(json.load(fh, parse_constant=reject_constant), policy)
 
 
 def save_config(config: VectorConfig, path: str, policy: PrecisionPolicy | None = None):

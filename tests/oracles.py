@@ -5,8 +5,12 @@ and the minimum walk assignments with itertools.product and sum vectors
 directly (no partial-sum tables, no incremental updates), the chord oracle solves the
 circle-line intersection quadratic, the polar oracle goes through an
 eigenvalue square root instead of the SVD, the greedy oracle takes one
-vector at a time instead of one step of a batch of orders, and the search
-oracle climbs one restart at a time on the full sign table.
+vector at a time instead of one step of a batch of orders, the search
+oracle climbs one restart at a time on the full sign table, and the
+falsifier oracle scores every candidate from scratch.  The falsifier oracle
+alone shares a library kernel: its g is core.combine over the split tables,
+the g with which the library settles each start, so that equal ascents give
+bitwise equal values.
 """
 
 import itertools
@@ -158,3 +162,62 @@ def serial_search(spec):
             exceeded = True
             break
     return best_rows, best_value, tuple(history), exceeded
+
+
+def serial_falsifier(config, r, budget, seed):
+    """The coordinate ascent of balancing.approximation_falsifier, on the
+    library's ladder, with every candidate scored by a fresh
+    meet-in-the-middle g(lam): returns (best_value, best_coefficients,
+    witness, best_start), the coefficients as a tuple and the witness as a
+    tuple or None."""
+    from signsum.balancing import _ASCENT_LADDER, _MAX_SWEEPS_PER_STEP
+    from signsum.core import combine, sign_table
+
+    n, d = config.n, config.dim
+    rows = config.as_array()
+
+    split = (n + 1) // 2
+    head, tail = sign_table(rows[:split]), sign_table(rows[split:])
+
+    def g(lam: np.ndarray) -> float:
+        return min(float(ns.min()) for ns in combine(head + lam @ rows, tail))
+
+    rng = np.random.default_rng(seed)
+    best_val = -1.0
+    best_lam = None
+    best_start = -1
+    for start in range(budget):
+        if start == 0:
+            lam = np.zeros(n)
+        elif start % 2 == 1:
+            lam = rng.uniform(-1.0, 1.0, n)
+        else:
+            lam = (2.0 * rng.integers(0, 2, n) - 1.0).astype(float)
+            free = rng.choice(n, size=min(d, n), replace=False)
+            lam[free] = rng.uniform(-1.0, 1.0, len(free))
+        value = g(lam)
+        for step in _ASCENT_LADDER:
+            for _ in range(_MAX_SWEEPS_PER_STEP):
+                improved = False
+                for i in range(n):
+                    base = lam[i]
+                    for cand in (base + step, base - step):
+                        cand = min(1.0, max(-1.0, cand))
+                        if cand == base:
+                            continue
+                        lam[i] = cand
+                        val = g(lam)
+                        if val > value:
+                            value = val
+                            base = cand
+                            improved = True
+                        lam[i] = base
+                if not improved:
+                    break
+        if value > best_val:
+            best_val = value
+            best_lam = lam.copy()
+            best_start = start
+
+    coeffs = tuple(float(x) for x in best_lam)
+    return best_val, coeffs, coeffs if best_val > r else None, best_start

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signsum import balancing, core
 from signsum.balancing import (
@@ -37,7 +39,7 @@ from signsum.errors import (
     TransitivityViolation,
 )
 
-from oracles import brute_min, greedy_pass, min_approx_error_sq
+from oracles import brute_min, greedy_pass, min_approx_error_sq, serial_falsifier
 
 
 def _short_vector_config(d, n, seed):
@@ -200,6 +202,14 @@ class TestApproximatePoint:
         for i, fixed in enumerate(elim.fixed_mask):
             if fixed:
                 assert report.signs.signs[i] == -int(elim.coefficients.coefficients[i])
+
+    def test_guarantee_is_the_prefix_law_over_the_d_longest(self):
+        """Beck-mode vectors of norm 1.05 can end above sqrt(d); the bound
+        sums the d largest ||v_i||^2, which the short middle vector is not
+        among."""
+        config = validate_config([(1.05, 0), (0.3, 0.2), (0, 1.05)], mode="beck", tolerance=0.1)
+        assert approximate_point(config).guarantee == math.sqrt(2 * 1.05**2)
+        assert approximate_point(config, [0.5, -0.5, 0.25]).guarantee == math.sqrt(2 * 1.05**2)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_dimension_bound_sweep(self, seed):
@@ -420,6 +430,15 @@ class TestParityBalance:
         assert report.guarantee == math.sqrt(3)
         assert report.achieved_norm == pytest.approx(math.sqrt(3), abs=1e-12)
 
+    def test_fallback_beyond_unit_norm(self):
+        """Two orthogonal beck-mode vectors of norm 1.05: every sign choice
+        ends at 1.05 * sqrt(2), which the fallback certifies."""
+        config = validate_config([(1.05, 0), (0, 1.05)], mode="beck", tolerance=0.1)
+        report = parity_balance(config)
+        assert report.case_taken == "fallback"
+        assert report.guarantee == math.sqrt(2 * 1.05**2)
+        assert report.achieved_norm == pytest.approx(report.guarantee, abs=1e-15)
+
     @pytest.mark.parametrize("seed", range(150))
     def test_random_three_dimensional_quadruples(self, seed):
         config = random_unit_config(3, 4, seed=seed)
@@ -499,7 +518,11 @@ class TestParityBalance:
                 if case is not None:
                     assert report.case_taken == case
                 if report.case_taken == "fallback":
-                    assert report.guarantee == math.sqrt(d)
+                    # approximate_point's bound: sqrt(min(n, d)) up to the
+                    # rounding of the squared norms.
+                    assert report.guarantee == approximate_point(config).guarantee
+                    assert report.guarantee == pytest.approx(math.sqrt(min(config.n, d)),
+                                                             abs=1e-15)
                 else:
                     assert report.guarantee <= math.sqrt(d - paper_epsilon(d))
                 cases[report.case_taken] += 1
@@ -631,6 +654,63 @@ class TestFalsifier:
         config = validate_config(rows)
         result = approximation_falsifier(config, d - 1e-4, budget=12, seed=seed)
         assert result.witness is None
+
+
+def _fields(result):
+    witness = result.witness
+    return (result.best_value, result.best_coefficients.coefficients,
+            None if witness is None else witness.coefficients, result.best_start)
+
+
+def _a4_pair(tenth):
+    delta = tenth / 10.0
+    return validate_config([(1.0, 0.0), (delta, math.sqrt(1.0 - delta * delta))]), delta
+
+
+class TestMaintainedTable:
+    """The ascent on the maintained table takes the steps that the ascent
+    scoring every candidate from scratch takes, and reports its values."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_equals_serial_oracle(self, seed):
+        rng = np.random.default_rng([seed, 14])
+        d = 2 + seed % 4
+        n = int(rng.integers(2, 13))
+        # Budgets 1-40, fewer starts where each costs more.
+        budget = int(rng.integers(1, min(40, 1 << (14 - n)) + 1))
+        config = random_unit_config(d, n, seed=seed + 7000)
+        r = float(rng.uniform(0.5, d))
+        assert _fields(approximation_falsifier(config, r, budget=budget, seed=seed)) == \
+            serial_falsifier(config, r, budget, seed)
+
+    @pytest.mark.parametrize("tenth", range(1, 10))
+    def test_equals_serial_oracle_on_a4_pairs(self, tenth):
+        config, delta = _a4_pair(tenth)
+        r = 2 - delta * delta
+        assert _fields(approximation_falsifier(config, r, budget=200, seed=tenth)) == \
+            serial_falsifier(config, r, 200, tenth)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 8), st.integers(1, 4), st.integers(0, 10**6))
+    def test_best_value_is_g_at_best_coefficients(self, d, n, budget, seed):
+        config = random_unit_config(d, n, seed=seed)
+        result = approximation_falsifier(config, float(d), budget=budget, seed=seed)
+        brute = min_approx_error_sq(config, result.best_coefficients.coefficients)
+        assert abs(result.best_value - brute) <= 1e-12
+
+    def test_byte_bound_refuses_before_any_table(self, monkeypatch):
+        config = random_unit_config(2, 8, seed=0)
+        size = (8 + 2) * 8 << 8
+        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size)
+        approximation_falsifier(config, 1.0, budget=1)  # exactly at the bound
+
+        def no_table(rows):
+            raise AssertionError("a table was built before the refusal")
+
+        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size - 1)
+        monkeypatch.setattr(balancing, "sign_table", no_table)
+        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
+            approximation_falsifier(config, 1.0, budget=1)
 
 
 class TestSoundnessAgainstOracle:

@@ -92,6 +92,14 @@ class TestExitCodes:
         assert main(["enumerate", "--config", "nan.json", "--r", "1"]) == 2
         assert "min_norm" not in capsys.readouterr().out
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_refused_when_config_is_read(self, workdir, capsys, constant):
+        Path("c.json").write_text(f'{{"dim": 2, "vectors": [[{constant}, 0.0], [0.0, 1.0]]}}')
+        with pytest.raises(ValueError, match=f"non-finite JSON constant {constant} is not"):
+            load_config("c.json")
+        assert main(["enumerate", "--config", "c.json", "--r", "1"]) == 2
+        assert f"non-finite JSON constant {constant}" in capsys.readouterr().err
+
     def test_missing_input(self, workdir):
         assert main(["enumerate", "--r", "1"]) == 2
 
@@ -362,14 +370,25 @@ class TestBalanceCommand:
         result = json.load(open("b.json"))["result"]
         assert float(result["achieved_norm"]) <= math.sqrt(2) + 1e-9
 
-    def test_greedy_beyond_unit_norm(self, workdir):
-        """Greedy ends at 1.05 * sqrt(2) here, above sqrt(n) but within the
-        prefix law."""
+    @pytest.mark.parametrize("algo", ["greedy", "eliminate", "parity", "auto"])
+    def test_beyond_unit_norm(self, workdir, algo):
+        """Every sign choice ends at 1.05 * sqrt(2) here, above sqrt(d) but
+        within the prefix law, which greedy takes over all n vectors and the
+        eliminate bound and the parity fallback over the d longest."""
         json.dump({"dim": 2, "vectors": [[1.05, 0], [0, 1.05]], "mode": "beck",
                    "norm_tolerance": 0.1}, open("b2.json", "w"))
-        assert main(["balance", "--config", "b2.json", "--algo", "greedy", "--out", "b.json"]) == 0
+        assert main(["balance", "--config", "b2.json", "--algo", algo, "--out", "b.json"]) == 0
         result = json.load(open("b.json"))["result"]
         assert float(result["achieved_norm"]) == pytest.approx(1.05 * math.sqrt(2))
+        assert float(result["guarantee"]) == math.sqrt(2 * 1.05**2)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_lambda_constant_is_refused_when_read(self, workdir, capsys, constant):
+        json.dump({"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}, open("c.json", "w"))
+        Path("lam.json").write_text(f"[{constant}, 0.0]")
+        assert main(["balance", "--config", "c.json", "--algo", "greedy",
+                     "--lambda", "lam.json"]) == 2
+        assert f"non-finite JSON constant {constant} is not a number" in capsys.readouterr().err
 
 
 class TestFalsifyCommand:
