@@ -55,7 +55,7 @@ from .errors import (
     TooManyClusters,
     TransitivityViolation,
 )
-from .geometry import PlaneBasis, project_onto_plane
+from .geometry import PlaneBasis, is_unit, project_onto_plane
 
 REPORT_SLACK = 1e-9
 
@@ -549,7 +549,10 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         case = "oblique"
         certificates = [eps_floor, d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
         splits = []
-        if d >= 3:
+        # The split's plane basis takes a unit pair, and its bound vectors
+        # of norm at most 1.
+        if (d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw])
+                and float(np.vecdot(rows, rows).max()) <= 1.0 + 2e-9):
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)

@@ -163,7 +163,7 @@ def _load_lambda(spec: str | None, n: int):
     if spec in (None, "zeros"):
         return None
     with open(spec, "r", encoding="utf-8") as fh:
-        values = json.load(fh, parse_constant=jsonio.reject_constant)
+        values = jsonio.load_json(fh)
     if not isinstance(values, list) or not all(type(v) in (int, float, str) for v in values):
         raise ValueError(f"lambda file {spec} must hold a JSON list of numbers")
     if len(values) != n:

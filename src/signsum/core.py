@@ -5,38 +5,44 @@ first and last halves of the vectors each get a table of all their partial
 signed sums, and every signed sum is one head entry plus one tail entry,
 formed in fixed-size numpy chunks in lexicographic order of the signs.
 Since ||-s|| = ||s||, only the half with eta_1 = +1 is formed and every
-count is doubled.  The precision policy supplies the scalar type (float64,
-or mpf at its bits), so one kernel serves every mode, and every field of
-the result depends only on the input.
+count is doubled.  The kernel is float64 in every mode, on float(entry)
+rows, and every field of the result depends only on the input.
 
 Classification at radius r is closed-ball with a tolerance band: an
-assignment is a hit when norm^2 <= r^2 + tol.  Assignments whose norm^2 lies
-within tol of r^2 sit exactly on the decision boundary as far as the policy
-can tell; the report's ``margin`` field is the smallest gap |norm^2 - r^2|
-over all assignments outside that band (0.0 if every assignment is inside),
-so callers can judge how trustworthy the hit count is.  Interval mode runs
-the extended kernel and certifies each classification: a sum whose computed
-norm^2 lies within ``rounding_bound`` of r^2 + tol raises
-AmbiguousClassification, so every count it returns is exact for the given
-inputs.
+assignment is a hit when norm^2 <= r^2 + tol, and ``band_count`` counts the
+hits with r^2 < norm^2.  The report's ``margin`` field is the smallest gap
+|norm^2 - r^2| over all assignments outside the band |norm^2 - r^2| <= tol
+(0.0 if every assignment is inside), so callers can judge how trustworthy
+the hit count is.
+
+Double mode decides on the float norms^2.  Extended and interval modes
+decide exactly for their B-bit inputs: a floating filter places every sum
+that lies further than ``rounding_bound`` from each decision point, and the
+rest are recomputed in integers at one common power-of-two scale (the
+adaptive-predicate pattern, Shewchuk, DCG 18, 1997).  Interval mode also
+raises AmbiguousClassification when some sum's exact norm^2 lies within
+``rounding_bound(rows, bits, r, tol)`` of the B-bit threshold r^2 + tol.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from mpmath import mp
 
 from .errors import AmbiguousClassification, DimensionMismatch, NormViolation, OutOfRange, TooLarge
 from .precision import PrecisionPolicy
 
 ENUMERATION_CAP = 30
 
-# Sums per chunk of the split-table kernel.  Small on purpose: extended and
-# interval chunks are object arrays of mpf.
+_FLOAT_MAX = Fraction(sys.float_info.max)
+
+# Sums per chunk of the split-table kernel.  A chunk, its masks and its exact
+# rechecks are the only buffers that grow with the 2^n sums; at 2^10 they
+# stay in cache and cap what one chunk of exact ties can cost in memory.
 _CHUNK = 1 << 10
 
 _MODES = ("strict", "beck")
@@ -141,10 +147,15 @@ class VectorConfig:
 
 @dataclass(frozen=True)
 class EnumerationReport:
-    """Exact census of the 2^n signed sums against a radius."""
+    """Exact census of the 2^n signed sums against a radius.
+
+    ``band_count`` counts the hits inside the tolerance band,
+    r^2 < norm^2 <= r^2 + tol.
+    """
 
     total: int
     hits: int
+    band_count: int
     radius: object
     probability: Fraction
     min_norm: object
@@ -154,6 +165,8 @@ class EnumerationReport:
     def __post_init__(self):
         if not 0 <= self.hits <= self.total:
             raise ValueError("hit count outside [0, total]")
+        if not 0 <= self.band_count <= self.hits:
+            raise ValueError("band count outside [0, hits]")
         if self.probability != Fraction(self.hits, self.total):
             raise ValueError("probability must be exactly hits/total")
 
@@ -185,11 +198,11 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
         )
     policy = policy or PrecisionPolicy.double()
     with policy.active():
-        rows = policy.array(config.vectors)
-        acc = signs.signs[0] * rows[0]
+        rows = [[policy.scalar(x) for x in row] for row in config.vectors]
+        acc = [signs.signs[0] * x for x in rows[0]]
         for eta, row in zip(signs.signs[1:], rows[1:]):
-            acc = acc + eta * row
-        return tuple(acc.tolist())
+            acc = [a + eta * x for a, x in zip(acc, row)]
+        return tuple(acc)
 
 
 def sign_table(rows: np.ndarray) -> np.ndarray:
@@ -236,84 +249,270 @@ def check_enumerable(n: int):
 
 def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
     """A float no smaller than the kernel's largest error in
-    norm^2 - (r^2 + tol) over the signed sums of ``rows``, at unit roundoff
-    u = 2^-bits, round-to-nearest and no underflow (mpf has none).
+    norm^2 - (r^2 + tol) over the signed sums of ``rows``, when the kernel
+    runs at unit roundoff u = 2^-bits, round-to-nearest, on the entries
+    converted to ``bits``-bit numbers (binary64 when bits = 53, underflow
+    included).
 
     With gamma_k = k*u / (1 - k*u) (Higham, *Accuracy and Stability of
     Numerical Algorithms*, 2nd ed., Lemma 3.1) and S_j = sum_i |v_ij|:
 
-    * Each term of a coordinate meets at most n roundings: its conversion
-      and at most n - 1 additions in ``sign_table`` and head + tail (adding
-      to the table's zero row is exact).  So the computed coordinate is off
-      by at most e_j = gamma_n * S_j.
+    * Converting an entry x errs by at most one ulp, 2u*|x|, which covers
+      rounding to nearest and toward zero, or by 2^-1074 where binary64
+      underflows.  Each term of a coordinate then meets at most n - 1
+      additions in ``sign_table`` and head + tail (adding to the table's
+      zero row is exact), and (1 + 2u)(1 + gamma_{n-1}) <= 1 + gamma_{n+1}.
+      So the computed coordinate is off by at most
+      e_j = gamma_{n+1} * S_j + 2n * 2^-1074.
     * The exact squares of the computed coordinates then sum to within
       sum_j (2 S_j e_j + e_j^2) of norm^2, and squaring and summing them, a
       d-term dot product, errs by at most gamma_d * sum_j (S_j + e_j)^2
-      (Higham (3.5)).
+      (Higham (3.5)) plus d * 2^-1074 for squares that underflow.
+    * With a = gamma_{n+1}, t = 2n * 2^-1074, P = sum_j S_j and
+      Q = sum_j S_j^2, those two sums are
+      (2a + a^2 + gamma_d (1 + a)^2) Q + (1 + gamma_d)(2t(1 + a) P + d t^2),
+      and a, gamma_d <= 1, t^2 <= 2^-1074 bound the second part by
+      (16 n P + 2d) * 2^-1074.
     * r*r + tol takes two roundings after r and tol are converted:
       gamma_4 * (r^2 + tol).
 
-    The three terms are summed exactly and rounded up to a float.
+    Each gamma_k is taken as its upper bound k*u + 2(k*u)^2 (k*u <= 1/2),
+    so every term is a dyadic rational: they are summed exactly as integers
+    and rounded up to a float.
     """
-    u = Fraction(1, 1 << bits)
+    n, d = len(rows), len(rows[0])
+    ints, low = _scaled(rows)
+    sums = [sum(abs(row[j]) for row in ints) for j in range(d)]  # S_j = sums[j] * 2^low
+    p, q = sum(sums), sum(s * s for s in sums)  # P = p * 2^low, Q = q * 2^(2 low)
 
-    def gamma(k):
-        return k * u / (1 - k * u)
+    def gamma(k):  # in units of u^2 = 2^(-2 bits)
+        return (k << bits) + 2 * k * k
 
-    sums = [sum(abs(_exact(x)) for x in column) for column in zip(*rows)]
-    errors = [gamma(len(rows)) * s for s in sums]
-    r = _exact(radius)
-    bound = (sum(2 * s * e + e * e for s, e in zip(sums, errors))
-             + gamma(len(sums)) * sum((s + e) ** 2 for s, e in zip(sums, errors))
-             + gamma(4) * (r * r + _exact(tolerance)))
-    return math.nextafter(float(bound), math.inf)
+    a = gamma(n + 1)
+    # 2a + a^2 + gamma_d (1 + a)^2, in units of u^6.
+    c = (2 * a << 4 * bits) + (a * a << 2 * bits) + gamma(d) * ((1 << 2 * bits) + a) ** 2
+    [[r, tol]], low_r = _scaled([[radius, tolerance]])
+    terms = [(c * q, 2 * low - 6 * bits),
+             (16 * n * p + (3 * d << -low), low - 1074),
+             (gamma(4) * (r * r + (tol << -low_r)), 2 * low_r - 2 * bits)]
+    e = min(x for _, x in terms)
+    return math.nextafter(sum(m << (x - e) for m, x in terms) / (1 << -e), math.inf)
+
+
+def _dyadic(x) -> tuple[int, int]:
+    """(m, e) with x = m * 2^e exactly, for an int, a float or an mpf."""
+    if hasattr(x, "_mpf_"):
+        sign, man, exp, _ = x._mpf_  # mpmath's raw (sign, mantissa, exponent, bits)
+        return -man if sign else man, exp
+    num, den = x.as_integer_ratio()
+    if den & (den - 1):
+        raise ValueError(f"{x!r} is not a dyadic rational")
+    return num, 1 - den.bit_length()
+
+
+def _scaled(rows) -> tuple[list[list[int]], int]:
+    """The entries as integers m with x = m * 2^low, for one common low <= 0."""
+    pairs = [[_dyadic(x) for x in row] for row in rows]
+    low = min(0, *(e for row in pairs for _, e in row))
+    return [[m << (e - low) for m, e in row] for row in pairs], low
 
 
 def _exact(x) -> Fraction:
-    """The exact value of an int, a float or an mpf (whose ``man`` is unsigned)."""
-    if hasattr(x, "man"):
-        return (x.man if x >= 0 else -x.man) * Fraction(2) ** x.exp
-    return Fraction(x)
+    """The exact value of an int, a float or an mpf."""
+    [[m]], low = _scaled([[x]])
+    return Fraction(m, 1 << -low)
+
+
+def _int_table(rows: list, d: int) -> list:
+    """``sign_table`` on rows of Python ints, in the same order."""
+    table = [(0,) * d]
+    for row in reversed(rows):
+        table = ([tuple(a + x for a, x in zip(t, row)) for t in table]
+                 + [tuple(a - x for a, x in zip(t, row)) for t in table])
+    return table
+
+
+class _ExactSums:
+    """Exact norm^2 of the sums of the eta_1 = +1 half, by index.
+
+    Every entry is a dyadic rational, an integer times one common 2^low.
+    Each sum is then one head plus one tail of integer sign tables
+    (2^(n/2) rows each, like the float kernel's), and its norm^2 an integer
+    times ``unit`` = 2^(2 low).
+    """
+
+    def __init__(self, inputs):
+        ints, low = _scaled(inputs)
+        self.unit = Fraction(1, 1 << -2 * low)
+        d, split = len(ints[0]), (len(ints) + 1) // 2
+        self.head = [tuple(a + x for a, x in zip(t, ints[0]))
+                     for t in _int_table(ints[1:split], d)]
+        self.tail = _int_table(ints[split:], d)
+
+    def norms_sq(self, offset: int, indices: list[int]) -> list[int]:
+        """The norms^2 of the sums at offset + k for each k of ``indices``."""
+        width = len(self.tail)
+        return [sum((h + t) ** 2 for h, t in zip(self.head[(offset + k) // width],
+                                                 self.tail[(offset + k) % width]))
+                for k in indices]
+
+    def floor(self, q: Fraction) -> int:
+        """The largest integer norm^2 that is <= q."""
+        return math.floor(q / self.unit)
+
+
+def _window(point: Fraction, width: float) -> tuple[float, float]:
+    """Floats bracketing [point - width, point + width]: float() of the
+    (range-clamped) point and the float subtraction and addition each round
+    to nearest, and one step outward after each covers that."""
+    f = float(max(-_FLOAT_MAX, min(point, _FLOAT_MAX)))
+    return (math.nextafter(math.nextafter(f, -math.inf) - width, -math.inf),
+            math.nextafter(math.nextafter(f, math.inf) + width, math.inf))
+
+
+@dataclass
+class _Least:
+    """The exact least of sign * norm^2 over the sums with
+    sign * norm^2 > ``floor`` (integer units), kept across chunks.
+
+    [lo, hi] is the float window of the class's bound: the float kernel puts
+    a sum above hi in the class for certain, and one in [lo, hi] perhaps.
+    """
+
+    sign: int
+    lo: float
+    hi: float
+    floor: float
+    value: int | None = None
+    index: int | None = None
+    cap: float = math.inf  # no sum whose float lies above this can beat value
+
+    def candidates(self, norm_sq: np.ndarray, fb: float) -> np.ndarray:
+        """Mask of the chunk's sums that may hold the class's least: it is
+        within fb of the least certain float, so it and all its ties lie
+        within 2 fb of that float."""
+        keys = self.sign * norm_sq
+        sure = keys[keys > self.hi]
+        cut = math.nextafter(float(sure.min()) + 2 * fb, math.inf) if sure.size else self.hi
+        return (keys >= self.lo) & (keys <= min(cut, self.cap))
+
+    def update(self, offset: int, picked: list[int], values: list[int], unit: Fraction,
+               fb: float):
+        """Take the first least of the exact values; later chunks only
+        replace it when strictly smaller."""
+        value = self.value
+        for k, v in zip(picked, values):
+            key = self.sign * v
+            if key > self.floor and (self.value is None or key < self.value):
+                self.value, self.index = key, offset + k
+        if self.value != value:
+            self.cap = _window(self.value * unit, fb)[1]
+
+
+def _walk_float(rows: np.ndarray, radius, tolerance: float):
+    """Every decision on the float64 norms^2 (double mode)."""
+    hits = band = 0
+    margin = best = index = None
+    if radius is not None:
+        r = float(radius)
+        radius_sq = r * r
+        threshold = radius_sq + tolerance
+        # A sum in the band has |norm^2 - r^2| <= threshold - r^2, rounding
+        # being monotone; most chunks have none and skip both scans.
+        width = threshold - radius_sq
+    for chunk, norm_sq in enumerate(half_norms_sq(rows)):
+        if radius is not None:
+            hits += 2 * int(np.count_nonzero(norm_sq <= threshold))
+            gaps = np.abs(norm_sq - radius_sq)
+            least = gaps.min()
+            if least <= width:
+                band += 2 * int(np.count_nonzero((norm_sq > radius_sq) & (norm_sq <= threshold)))
+            if least <= tolerance:
+                gaps = gaps[gaps > tolerance]
+                least = gaps.min() if gaps.size else None
+            if least is not None and (margin is None or least < margin):
+                margin = float(least)
+        i = int(np.argmin(norm_sq))
+        # Strict < keeps the earliest, hence lexicographically first, minimiser.
+        if best is None or norm_sq[i] < best:
+            best, index = norm_sq[i], chunk * _CHUNK + i
+    return hits, band, margin, math.sqrt(best), index
+
+
+def _walk_exact(inputs, policy: PrecisionPolicy, radius):
+    """Every decision exact for the B-bit ``inputs`` (extended, interval).
+
+    The float64 kernel runs on float(entry) rows, and the filter bound
+    fb = ``rounding_bound(inputs, 53)`` places every sum whose float norm^2
+    lies further than fb from each decision point: r^2 + tol (hits), r^2
+    (the band), r^2 +- tol (which sums set the margin) and the least norm^2
+    so far.  Each chunk's other sums are recomputed exactly, so hits,
+    band_count, margin, the argmin and min_norm are exact.  Interval mode
+    refuses when some exact norm^2 lies within ``rounding_bound`` of the
+    threshold.
+    """
+    sums = _ExactSums(inputs)
+    unit = sums.unit
+    fb = rounding_bound(inputs, 53)
+    least = _Least(1, -math.inf, -math.inf, -math.inf)
+    trackers = [least]
+    if radius is not None:
+        r = policy.scalar(radius)
+        radius_sq = r * r
+        threshold = radius_sq + policy.scalar(policy.classification_tolerance)
+        big_r, big_t = _exact(radius_sq), _exact(threshold)
+        tol = Fraction(policy.classification_tolerance)
+        # The margin's classes: norm^2 > r^2 + tol, and -norm^2 > tol - r^2.
+        trackers += [_Least(1, *_window(big_r + tol, fb), sums.floor(big_r + tol)),
+                     _Least(-1, *_window(tol - big_r, fb), sums.floor(tol - big_r))]
+        # Interval mode refuses exact norms^2 in [threshold - bound, threshold + bound].
+        bound = 0.0
+        if policy.mode == "interval":
+            bound = rounding_bound(inputs, policy.bits, r, policy.classification_tolerance)
+        refused = (-sums.floor(Fraction(bound) - big_t), sums.floor(big_t + Fraction(bound)))
+        lo_t, hi_t = _window(big_t, math.nextafter(fb + bound, math.inf))
+        lo_r, hi_r = _window(big_r, fb)
+        limit, r_limit = sums.floor(big_t), sums.floor(big_r)
+    hits = at_most_r = 0
+    for chunk, norm_sq in enumerate(half_norms_sq(np.array(inputs, dtype=float))):
+        candidates = np.zeros(len(norm_sq), dtype=bool)
+        if radius is not None:
+            candidates |= (norm_sq >= lo_t) & (norm_sq <= hi_t)
+            candidates |= (norm_sq >= lo_r) & (norm_sq <= hi_r)
+        for tracker in trackers:
+            candidates |= tracker.candidates(norm_sq, fb)
+        picked = np.flatnonzero(candidates).tolist()
+        values = sums.norms_sq(chunk * _CHUNK, picked)
+        if radius is not None:
+            if bound and any(refused[0] <= v <= refused[1] for v in values):
+                raise AmbiguousClassification(
+                    f"a norm^2 lies within the rounding bound {bound:.3g} of the "
+                    f"threshold r^2 + tol = {policy.decimal(threshold)}")
+            rest = norm_sq[~candidates]
+            hits += int(np.count_nonzero(rest < lo_t)) + sum(v <= limit for v in values)
+            at_most_r += int(np.count_nonzero(rest < lo_r)) + sum(v <= r_limit for v in values)
+        for tracker in trackers:
+            tracker.update(chunk * _CHUNK, picked, values, unit, fb)
+    margin = None
+    if radius is not None:
+        gaps = [t.value * unit - t.sign * big_r for t in trackers[1:] if t.value is not None]
+        margin = float(min(gaps)) if gaps else None
+    return 2 * hits, 2 * (hits - at_most_r), margin, policy.sqrt(least.value * unit), least.index
 
 
 def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
+    """(hits, band_count, margin, min_norm, argmin) of the census."""
     n = config.n
     check_enumerable(n)
     with policy.active():
-        tolerance = policy.classification_tolerance
-        refuse = None
-        if radius is not None:
-            r = policy.scalar(radius)
-            radius_sq = r * r
-            threshold = radius_sq + policy.scalar(tolerance)
-            if policy.mode == "interval":
-                # Norms^2 in [threshold - bound, threshold + bound] cannot be
-                # placed; mp.fsub/fadd with exact=True keep the band exact.
-                bound = rounding_bound(config.vectors, policy.bits, radius, tolerance)
-                refuse = (mp.fsub(threshold, bound, exact=True),
-                          mp.fadd(threshold, bound, exact=True))
-        hits = 0
-        margin = None
-        best_ns = best_index = None
-        # ||-s|| = ||s||: count every sum of the eta_1 = +1 half twice.
-        for chunk, norm_sq in enumerate(half_norms_sq(policy.array(config.vectors))):
-            if radius is not None:
-                if refuse and np.any((norm_sq >= refuse[0]) & (norm_sq <= refuse[1])):
-                    raise AmbiguousClassification(
-                        f"a norm^2 lies within the rounding bound {bound:.3g} of the "
-                        f"threshold r^2 + tol = {policy.decimal(threshold)}"
-                    )
-                hits += 2 * int(np.count_nonzero(norm_sq <= threshold))
-                gaps = np.abs(norm_sq - radius_sq).astype(float)
-                gaps = gaps[gaps > tolerance]
-                if gaps.size and (margin is None or gaps.min() < margin):
-                    margin = float(gaps.min())
-            i = int(np.argmin(norm_sq))
-            # Strict < keeps the earliest, hence lexicographically first, minimiser.
-            if best_ns is None or norm_sq[i] < best_ns:
-                best_ns, best_index = norm_sq[i], chunk * _CHUNK + i
-        signs = tuple(-1 if (best_index >> (n - 1 - i)) & 1 else 1 for i in range(n))
-        return hits, margin, policy.sqrt(best_ns), SignAssignment(signs)
+        inputs = [[policy.scalar(x) for x in row] for row in config.vectors]
+        if policy.mode == "double":
+            hits, band, margin, min_norm, index = _walk_float(
+                np.array(inputs), radius, policy.classification_tolerance)
+        else:
+            hits, band, margin, min_norm, index = _walk_exact(inputs, policy, radius)
+    signs = tuple(-1 if (index >> (n - 1 - i)) & 1 else 1 for i in range(n))
+    return hits, band, margin, min_norm, SignAssignment(signs)
 
 
 def enumerate_signed_sums(
@@ -326,8 +525,8 @@ def enumerate_signed_sums(
     closed ball of the given radius.
 
     Raises OutOfRange for a negative or non-finite radius, TooLarge past the
-    cap, and AmbiguousClassification in interval mode when some sum's
-    computed norm^2 lies within ``rounding_bound`` of r^2 + tol.  ``workers`` is
+    cap, and AmbiguousClassification in interval mode when some sum's exact
+    norm^2 lies within ``rounding_bound`` of r^2 + tol.  ``workers`` is
     accepted and ignored, since enumeration runs in the calling thread; it
     stays because the benchmark harness (``perfbench/workloads.py``) passes
     ``workers=1``.
@@ -335,11 +534,12 @@ def enumerate_signed_sums(
     policy = policy or PrecisionPolicy.double()
     if not 0 <= float(radius) < math.inf:
         raise OutOfRange("radius must be finite and nonnegative")
-    hits, margin, min_norm, argmin = _walk(config, policy, radius)
+    hits, band, margin, min_norm, argmin = _walk(config, policy, radius)
     total = 1 << config.n
     return EnumerationReport(
         total=total,
         hits=hits,
+        band_count=band,
         radius=radius,
         probability=Fraction(hits, total),
         min_norm=min_norm,
@@ -357,5 +557,5 @@ def min_signed_norm(
     ordered before -1, so results are reproducible across runs.  No library
     caller passes ``policy``; ``perfbench/tracing.py`` passes it positionally.
     """
-    _, _, min_norm, argmin = _walk(config, policy or PrecisionPolicy.double(), None)
+    *_, min_norm, argmin = _walk(config, policy or PrecisionPolicy.double(), None)
     return float(min_norm), argmin

@@ -61,6 +61,11 @@ def chord_length(q: ChordQuery) -> float:
     return 2.0 * math.hypot(q.r * math.sin(q.theta), q.a * math.cos(q.theta))
 
 
+def is_unit(v) -> bool:
+    """Whether ||v|| lies within 1e-9 of 1, the premise of PlaneBasis."""
+    return abs(math.sqrt(sum(float(x) * float(x) for x in v)) - 1.0) <= 1e-9
+
+
 @dataclass(frozen=True)
 class PlaneBasis:
     """Two linearly independent unit vectors spanning a plane through 0."""
@@ -70,12 +75,10 @@ class PlaneBasis:
     gram: float
 
     def __post_init__(self):
-        nu = math.sqrt(sum(x * x for x in self.u))
-        nw = math.sqrt(sum(x * x for x in self.w))
-        if abs(nu - 1.0) > 1e-9:
-            raise NormViolation(0, nu, f"basis vector u has norm {nu!r}")
-        if abs(nw - 1.0) > 1e-9:
-            raise NormViolation(1, nw, f"basis vector w has norm {nw!r}")
+        for index, (name, v) in enumerate((("u", self.u), ("w", self.w))):
+            if not is_unit(v):
+                norm = math.sqrt(sum(x * x for x in v))
+                raise NormViolation(index, norm, f"basis vector {name} has norm {norm!r}")
         if abs(self.gram) >= 1.0:
             raise DegeneratePlane(f"|<u, w>| = {abs(self.gram)!r} >= 1")
 

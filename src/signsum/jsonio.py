@@ -9,6 +9,7 @@ and probabilities exact fraction strings.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from .balancing import BalanceReport, FalsifierResult
@@ -64,9 +65,28 @@ def reject_constant(name: str):
     raise ValueError(f"non-finite JSON constant {name} is not a number")
 
 
+def _within_floats(parse):
+    """``parse_float`` or ``parse_int`` for json.load: a literal past the
+    float range, such as 1e999 (which float() reads as inf) or a 400-digit
+    integer, is refused where the file is read, naming the literal."""
+    def parse_finite(literal: str):
+        value = parse(literal)
+        if not abs(value) <= sys.float_info.max:
+            raise ValueError(f"JSON number {literal} overflows a float")
+        return value
+
+    return parse_finite
+
+
+def load_json(fh):
+    """json.load refusing every non-finite number where the file is read."""
+    return json.load(fh, parse_constant=reject_constant, parse_float=_within_floats(float),
+                     parse_int=_within_floats(int))
+
+
 def load_config(path: str, policy: PrecisionPolicy | None = None) -> VectorConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return config_from_obj(json.load(fh, parse_constant=reject_constant), policy)
+        return config_from_obj(load_json(fh), policy)
 
 
 def save_config(config: VectorConfig, path: str, policy: PrecisionPolicy | None = None):
@@ -82,6 +102,7 @@ def report_to_obj(report: EnumerationReport, policy: PrecisionPolicy | None = No
     return {
         "total": report.total,
         "hits": report.hits,
+        "band_count": report.band_count,
         "probability": f"{report.probability.numerator}/{report.probability.denominator}",
         "radius": radius,
         "min_norm": min_norm,

@@ -2,15 +2,20 @@
 
 Three modes:
 
-* ``double``   -- plain Python floats (IEEE binary64).
+* ``double``   -- plain Python floats (IEEE binary64); enumeration decides
+  on float64 norms^2.
 * ``extended`` -- mpmath arbitrary-precision floats (mpf) at 64 to 1098 bits.
-* ``interval`` -- the same mpf arithmetic at 53 to 1098 bits, plus a
-  certificate: enumeration raises AmbiguousClassification for any sum whose
-  computed norm^2 lies within the proven rounding bound ``core.rounding_bound``
-  of the threshold.  Every result it does return equals extended mode's at
-  the same bits.
+  Inputs are built and read at B bits, and enumeration is exact for those
+  B-bit inputs: the float64 kernel filters, and every sum it cannot place is
+  recomputed in integers.
+* ``interval`` -- the same at 53 to 1098 bits, plus a refusal: enumeration
+  raises AmbiguousClassification when some sum's exact norm^2 lies within
+  the rounding bound ``core.rounding_bound`` of the threshold.  Every result
+  it does return equals extended mode's at the same bits.
 
-The policy's methods are the only code in signsum that picks float or mpf.
+The enumeration kernel is float64 in every mode; mpf survives in
+construction, JSON and the exact recheck's inputs.  The policy's methods
+are the only code in signsum that picks float or mpf.
 
 A policy also carries the classification tolerance: a signed sum counts as a
 hit at radius r when ``norm**2 <= r**2 + tolerance``.  The double-mode
@@ -27,8 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 DOUBLE_TOLERANCE = 1e-12
 
@@ -111,14 +116,14 @@ class PrecisionPolicy:
             return mp.mpf(x.numerator) / mp.mpf(x.denominator)
         return mp.mpf(x)
 
-    def array(self, rows) -> np.ndarray:
-        """Rows of scalars as a 2-D array: float64, or an object array of mpf."""
-        dtype = float if self.mode == "double" else object
-        return np.array([[self.scalar(x) for x in row] for row in rows], dtype=dtype)
-
     def sqrt(self, x):
-        """Correctly rounded square root in the policy's arithmetic."""
-        return math.sqrt(x) if self.mode == "double" else mp.sqrt(x)
+        """Correctly rounded square root in the policy's arithmetic; in
+        extended and interval modes x may be a dyadic Fraction, taken exactly."""
+        if self.mode == "double":
+            return math.sqrt(x)
+        if isinstance(x, Fraction):
+            x = mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
+        return mp.sqrt(x)
 
     def decimal(self, x) -> str:
         """A decimal string that round-trips at the policy's precision."""

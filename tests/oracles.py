@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own code paths: the census
 and the minimum walk assignments with itertools.product and sum vectors
-directly (no partial-sum tables, no incremental updates), the chord oracle solves the
+directly (no partial-sum tables, no incremental updates), the exact census
+does so in Fraction arithmetic with no floating filter, the chord oracle solves the
 circle-line intersection quadratic, the polar oracle goes through an
 eigenvalue square root instead of the SVD, the greedy oracle takes one
 vector at a time instead of one step of a batch of orders, the search
@@ -221,3 +222,26 @@ def serial_falsifier(config, r, budget, seed):
 
     coeffs = tuple(float(x) for x in best_lam)
     return best_val, coeffs, coeffs if best_val > r else None, best_start
+
+
+def exact_census(rows, radius_sq, threshold, tol):
+    """Census of exact rows (Fractions) in Fraction arithmetic: hits
+    (norm^2 <= threshold), the band (radius_sq < norm^2 <= threshold), the
+    margin (least |norm^2 - radius_sq| above tol, or None), the least
+    norm^2 and its first assignment in product order, and every norm^2.
+    Walks the eta_1 = +1 half; its negation has the same norms."""
+    norms = []
+    for tail in itertools.product((1, -1), repeat=len(rows) - 1):
+        signs = (1, *tail)
+        total = [sum(eta * row[k] for eta, row in zip(signs, rows)) for k in range(len(rows[0]))]
+        norms.append((sum(x * x for x in total), signs))
+    gaps = [abs(ns - radius_sq) for ns, _ in norms if abs(ns - radius_sq) > tol]
+    least = min(norms, key=lambda item: item[0])  # the first of equal norms
+    return {
+        "hits": 2 * sum(ns <= threshold for ns, _ in norms),
+        "band": 2 * sum(radius_sq < ns <= threshold for ns, _ in norms),
+        "margin": min(gaps) if gaps else None,
+        "least": least[0],
+        "argmin": least[1],
+        "norms": [ns for ns, _ in norms],
+    }

@@ -439,6 +439,35 @@ class TestParityBalance:
         assert report.guarantee == math.sqrt(2 * 1.05**2)
         assert report.achieved_norm == pytest.approx(report.guarantee, abs=1e-15)
 
+    def test_oblique_beyond_unit_norm_skips_the_split(self):
+        """d = 3, an oblique pair of norm 1.05: projection_split's unit
+        plane basis does not exist, so its certificate is not taken."""
+        config = validate_config([(1.05, 0, 0), (0.525, 0.9093266739736605, 0),
+                                  (0, 0, 1.05), (0, 1.05, 0)], mode="beck", tolerance=0.1)
+        report = parity_balance(config)
+        assert report.case_taken == "oblique"
+        assert report.achieved_norm <= report.guarantee
+
+    def test_beck_sweep_beyond_unit_norm(self):
+        """200 random mismatched-parity configurations (d 2-3, n = d + 1 or
+        d + 3) scaled to norm 1.09: each answers within its guarantee.  The
+        one refusal is the clustered branch's transitivity check, whose
+        thresholds are stated for unit vectors (a FOUND in CHANGES.md)."""
+        refused = {}
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(2, 4))
+            n = d + int(rng.choice([1, 3]))
+            rows = 1.09 * random_unit_config(d, n, seed=seed).as_array()
+            config = validate_config(rows, mode="beck", tolerance=0.1)
+            try:
+                report = parity_balance(config)
+            except TransitivityViolation:
+                refused[seed] = d
+                continue
+            assert report.achieved_norm <= report.guarantee
+        assert refused == {126: 2}
+
     @pytest.mark.parametrize("seed", range(150))
     def test_random_three_dimensional_quadruples(self, seed):
         config = random_unit_config(3, 4, seed=seed)

@@ -100,6 +100,16 @@ class TestExitCodes:
         assert main(["enumerate", "--config", "c.json", "--r", "1"]) == 2
         assert f"non-finite JSON constant {constant}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999", "1" + "0" * 400])
+    def test_overflowing_number_is_refused_when_config_is_read(self, workdir, capsys, literal):
+        """A literal past the float range would parse to inf and be refused
+        only later, as a norm."""
+        Path("big.json").write_text(f'{{"dim": 2, "vectors": [[{literal}, 0], [0, 1]]}}')
+        with pytest.raises(ValueError, match=f"JSON number {literal} overflows a float"):
+            load_config("big.json")
+        assert main(["enumerate", "--config", "big.json", "--r", "1"]) == 2
+        assert f"JSON number {literal} overflows" in capsys.readouterr().err
+
     def test_missing_input(self, workdir):
         assert main(["enumerate", "--r", "1"]) == 2
 
@@ -303,6 +313,20 @@ class TestEnumerateCommand:
         assert result["hits"] == 32
         assert probability_from_string(result["probability"]) == Fraction(1, 16)
 
+    def test_band_count_beside_hits(self, workdir, capsys):
+        """Double's 1e-12 band holds the 32 near misses of exponential:11,
+        so 96 hits with 32 in the band; 256 bits separate them exactly."""
+        assert main(["enumerate", "--construct", "exponential:11", "--r", "1",
+                     "--out", "e11.json"]) == 0
+        result = json.load(open("e11.json"))["result"]
+        assert (result["hits"], result["band_count"]) == (96, 32)
+        assert '"band_count": 32' in Path("e11.json").read_text()
+        assert capsys.readouterr().err.startswith("hits 96/2048  probability 3/64  min_norm 1  ")
+        assert main(["enumerate", "--construct", "exponential:11", "--r", "1",
+                     "--precision", "ext:256", "--out", "e11x.json"]) == 0
+        result = json.load(open("e11x.json"))["result"]
+        assert (result["hits"], result["band_count"]) == (64, 0)
+
     def test_manifest_embedded_and_reproducible(self, workdir):
         args = ["enumerate", "--construct", "random:3:6", "--r", "1.5", "--seed", "9"]
         assert main(args + ["--out", "a.json"]) == 0
@@ -389,6 +413,25 @@ class TestBalanceCommand:
         assert main(["balance", "--config", "c.json", "--algo", "greedy",
                      "--lambda", "lam.json"]) == 2
         assert f"non-finite JSON constant {constant} is not a number" in capsys.readouterr().err
+
+
+    def test_overflowing_lambda_number_is_refused_when_read(self, workdir, capsys):
+        json.dump({"dim": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]]}, open("c.json", "w"))
+        Path("lam.json").write_text("[1e999, 0.0]")
+        assert main(["balance", "--config", "c.json", "--algo", "greedy",
+                     "--lambda", "lam.json"]) == 2
+        assert "JSON number 1e999 overflows a float" in capsys.readouterr().err
+
+    def test_beck_oblique_pair_beyond_unit_norm(self, workdir):
+        """d = 3 with an oblique pair of norm 1.05: the projection split's
+        unit basis does not exist, so its certificate is not taken."""
+        json.dump({"dim": 3, "vectors": [[1.05, 0, 0], [0.525, 0.9093266739736605, 0],
+                                         [0, 0, 1.05], [0, 1.05, 0]],
+                   "mode": "beck", "norm_tolerance": 0.1}, open("b3.json", "w"))
+        assert main(["balance", "--config", "b3.json", "--algo", "auto", "--out", "b.json"]) == 0
+        result = json.load(open("b.json"))["result"]
+        assert result["case_taken"] == "oblique"
+        assert float(result["achieved_norm"]) <= float(result["guarantee"])
 
 
 class TestFalsifyCommand:

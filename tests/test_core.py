@@ -17,6 +17,7 @@ from signsum.core import (
 )
 from signsum.constructions import random_unit_config
 from signsum.errors import DimensionMismatch, NormViolation, OutOfRange, TooLarge
+from signsum.precision import PrecisionPolicy
 
 from oracles import census
 
@@ -287,3 +288,28 @@ def test_report_probability_exactness():
     config = random_unit_config(2, 5, seed=9)
     report = enumerate_signed_sums(config, 1.0)
     assert report.probability == Fraction(report.hits, 32)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 12), st.integers(0, 4095),
+       st.sampled_from([0.0, 1e-12, 1e-9]), st.integers(-4, 4))
+def test_double_band_count_is_the_float_band(seed, n, pick, tolerance, ulps):
+    """In double, band_count counts the float norms^2 in (r^2, r^2 + tol]
+    and margin is the least float gap outside [-tol, tol], whichever chunks
+    the band and the gaps fall in; the radius is an achieved norm moved by
+    a few ulps."""
+    config = random_unit_config(3, n, seed=seed)
+    norms_sq = np.concatenate(list(core.half_norms_sq(config.as_array())))
+    radius = math.sqrt(float(norms_sq[pick % len(norms_sq)]))
+    for _ in range(abs(ulps)):
+        radius = math.nextafter(radius, math.inf if ulps > 0 else 0.0)
+    policy = PrecisionPolicy.double(tolerance)
+    report = enumerate_signed_sums(config, radius, policy=policy)
+    radius_sq = radius * radius
+    threshold = radius_sq + tolerance
+    assert report.hits == 2 * int(np.count_nonzero(norms_sq <= threshold))
+    assert report.band_count == 2 * int(np.count_nonzero(
+        (norms_sq > radius_sq) & (norms_sq <= threshold)))
+    gaps = np.abs(norms_sq - radius_sq)
+    gaps = gaps[gaps > tolerance]
+    assert report.margin == (float(gaps.min()) if gaps.size else 0.0)

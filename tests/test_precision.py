@@ -1,13 +1,21 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
-from signsum.constructions import construct_exponential, random_unit_config
+from oracles import exact_census
+from signsum.constructions import (
+    ConstructionSpec,
+    construct_exponential,
+    construct_orthonormal_multiplicity,
+    random_unit_config,
+)
 from signsum.core import enumerate_signed_sums, half_norms_sq, rounding_bound, validate_config
 from signsum.errors import AmbiguousClassification
 from signsum.jsonio import report_to_obj
@@ -131,13 +139,24 @@ def _exact(x) -> Fraction:
 
 def _exact_half_norms_sq(config):
     """Exact norm^2 of every sum with eta_1 = +1, in lexicographic order."""
-    rows = [[Fraction(x) for x in row] for row in config.vectors]
+    rows = [[_exact(x) for x in row] for row in config.vectors]
     out = []
     for tail in itertools.product((1, -1), repeat=config.n - 1):
         total = [sum(eta * row[j] for eta, row in zip((1, *tail), rows))
                  for j in range(config.dim)]
         out.append(sum(x * x for x in total))
     return out
+
+
+def _at_bits(config, bits):
+    """The configuration renormalised in mpf at ``bits``: entries that are
+    B-bit numbers, not floats (53 bits keeps the floats)."""
+    if bits == 53:
+        return config
+    with mp.workprec(bits):
+        rows = [[mp.mpf(x) for x in row] for row in config.vectors]
+        rows = [[x / mp.sqrt(sum(y * y for y in row)) for x in row] for row in rows]
+    return validate_config(rows)
 
 
 @st.composite
@@ -153,15 +172,17 @@ def _unit_configs(draw):
 
 class TestRoundingBound:
     @settings(max_examples=60, deadline=None)
-    @given(_unit_configs(), st.sampled_from(["double", "interval:53", "interval:64"]))
-    def test_covers_the_kernel_error(self, config, spec):
-        """No computed norm^2 is further from the exact one than the bound."""
-        policy = PrecisionPolicy.parse(spec)
-        with policy.active():
-            computed = np.concatenate(list(half_norms_sq(policy.array(config.vectors))))
-        worst = max(abs(_exact(c) - e)
+    @given(_unit_configs(), st.sampled_from([53, 64, 256]))
+    def test_covers_the_kernel_error(self, config, bits):
+        """No float64 norm^2 of the kernel, which every mode runs on
+        float(entry) rows, is further from the exact norm^2 of the B-bit
+        inputs than the filter bound rounding_bound(inputs, 53)."""
+        config = _at_bits(config, bits)
+        rows = np.array([[float(x) for x in row] for row in config.vectors])
+        computed = np.concatenate(list(half_norms_sq(rows)))
+        worst = max(abs(Fraction(c) - e)
                     for c, e in zip(computed, _exact_half_norms_sq(config)))
-        assert worst <= Fraction(rounding_bound(config.vectors, policy.bits))
+        assert worst <= Fraction(rounding_bound(config.vectors, 53))
 
     @settings(max_examples=60, deadline=None)
     @given(_unit_configs(), st.sampled_from([53, 64]), st.integers(0, 511),
@@ -183,6 +204,104 @@ class TestRoundingBound:
             assert any(abs(e - r_sq) <= 2 * bound for e in exact)
         else:
             assert report.hits == 2 * sum(e <= r_sq for e in exact)
+
+
+@st.composite
+def _census_cases(draw):
+    """(config, policy, radius): B-bit inputs, random or the exponential
+    family, and a radius within a few B-bit ulps of an achieved norm."""
+    bits = draw(st.sampled_from([64, 256]))
+    tolerance = draw(st.sampled_from([0.0, None]))
+    policy = draw(st.sampled_from([PrecisionPolicy.extended, PrecisionPolicy.interval]))
+    policy = policy(bits, tolerance=tolerance)
+    if draw(st.booleans()):
+        config = _at_bits(draw(_unit_configs()), bits)
+    else:
+        config = construct_exponential(draw(st.sampled_from([1, 3, 5, 7, 9])), policy=policy)
+    norms = _exact_half_norms_sq(config)
+    target = norms[draw(st.integers(0, len(norms) - 1))]
+    ulps = draw(st.integers(-3, 3))
+    with mp.workprec(bits):
+        radius = mp.sqrt(mp.mpf(target.numerator) / target.denominator)
+        step = mp.ldexp(1, (mp.frexp(radius)[1] if radius else 0) - bits)
+        radius = abs(radius + ulps * step)
+    return config, policy, radius
+
+
+class TestExactRecheck:
+    """Extended and interval modes against a Fraction census of the same
+    B-bit inputs and the same B-bit r^2 and r^2 + tol."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_census_cases())
+    def test_matches_the_fraction_census(self, case):
+        config, policy, radius = case
+        with policy.active():
+            radius_sq = mp.mpf(radius) * mp.mpf(radius)
+            threshold = radius_sq + mp.mpf(policy.classification_tolerance)
+        rows = [[_exact(x) for x in row] for row in config.vectors]
+        oracle = exact_census(rows, _exact(radius_sq), _exact(threshold),
+                              Fraction(policy.classification_tolerance))
+        bound = Fraction(rounding_bound(config.vectors, policy.bits, radius,
+                                        policy.classification_tolerance))
+        straddles = any(abs(ns - _exact(threshold)) <= bound for ns in oracle["norms"])
+        try:
+            report = enumerate_signed_sums(config, radius, policy=policy)
+        except AmbiguousClassification:
+            assert policy.mode == "interval" and straddles
+            return
+        assert not (policy.mode == "interval" and straddles)
+        assert (report.hits, report.band_count) == (oracle["hits"], oracle["band"])
+        assert report.margin == (0.0 if oracle["margin"] is None else float(oracle["margin"]))
+        assert report.argmin.signs == oracle["argmin"]
+        # min_norm is the B-bit number nearest sqrt(least): within half an ulp.
+        min_norm = report.min_norm
+        bits = min_norm.man.bit_length()  # mpf keeps an odd mantissa
+        assert bits <= policy.bits
+        half_ulp = Fraction(2) ** (min_norm.exp + bits - policy.bits - 1) if min_norm else 0
+        root = _exact(min_norm)
+        assert (root - half_ulp) ** 2 <= oracle["least"] <= (root + half_ulp) ** 2
+
+    def test_exact_ties_resolve_to_the_first_minimiser(self):
+        """Every anti-aligned sum of exponential:9 has norm^2 exactly 1;
+        256-bit arithmetic rounded some below 1 and ranked a later one
+        first."""
+        policy = PrecisionPolicy.extended(256)
+        report = enumerate_signed_sums(construct_exponential(9, policy=policy), 1, policy=policy)
+        assert report.min_norm == 1
+        assert report.argmin.signs == (1, -1, 1, -1, 1, -1, 1, -1, 1)
+
+    def test_ties_beyond_one_chunk(self):
+        """orthomult:2:7,7 at ext:256: 2 * C(7,3)^2 sums tie at the minimum
+        norm^2 2 (the odd multiplicities forbid 0), spread over 8 chunks."""
+        policy = PrecisionPolicy.extended(256)
+        config = construct_orthonormal_multiplicity(2, (7, 7))
+        report = enumerate_signed_sums(config, math.sqrt(2), policy=policy)
+        with policy.active():
+            assert report.min_norm == mp.sqrt(2)
+        assert report.argmin.signs == 2 * ((1,) * 4 + (-1,) * 3)
+        assert report.hits == (2 * math.comb(7, 3)) ** 2
+
+
+class TestMemory:
+    """tracemalloc peaks of one call, against the object-array kernel's:
+    1 612 780 bytes on ext:256 exponential:15 and 130 480 on double
+    random:3:20 (measured at the parent of the float64 kernel)."""
+
+    @pytest.mark.parametrize("spec, precision, bound", [
+        ("exponential:15", "ext:256", 400_000),  # a quarter of the old peak
+        ("random:3:20", "double", 163_100),  # the old peak plus 25 %
+    ])
+    def test_peak_allocation(self, spec, precision, bound):
+        policy = PrecisionPolicy.parse(precision)
+        config = ConstructionSpec.from_string(spec, seed=1).build(policy)
+        tracemalloc.start()
+        try:
+            enumerate_signed_sums(config, 1.0, policy=policy)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestMarginSemantics:
