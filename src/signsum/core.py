@@ -278,7 +278,7 @@ def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
 
     Each gamma_k is taken as its upper bound k*u + 2(k*u)^2 (k*u <= 1/2),
     so every term is a dyadic rational: they are summed exactly as integers
-    and rounded up to a float.
+    and rounded up to a float (inf past the float range).
     """
     n, d = len(rows), len(rows[0])
     ints, low = _scaled(rows)
@@ -296,7 +296,10 @@ def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
              (16 * n * p + (3 * d << -low), low - 1074),
              (gamma(4) * (r * r + (tol << -low_r)), 2 * low_r - 2 * bits)]
     e = min(x for _, x in terms)
-    return math.nextafter(sum(m << (x - e) for m, x in terms) / (1 << -e), math.inf)
+    try:
+        return math.nextafter(sum(m << (x - e) for m, x in terms) / (1 << -e), math.inf)
+    except OverflowError:  # past the float range, as r^2 is for a huge radius
+        return math.inf
 
 
 def _dyadic(x) -> tuple[int, int]:
@@ -469,7 +472,8 @@ def _walk_exact(inputs, policy: PrecisionPolicy, radius):
         bound = 0.0
         if policy.mode == "interval":
             bound = rounding_bound(inputs, policy.bits, r, policy.classification_tolerance)
-        refused = (-sums.floor(Fraction(bound) - big_t), sums.floor(big_t + Fraction(bound)))
+        refused = ((-math.inf, math.inf) if bound == math.inf else
+                   (-sums.floor(Fraction(bound) - big_t), sums.floor(big_t + Fraction(bound))))
         lo_t, hi_t = _window(big_t, math.nextafter(fb + bound, math.inf))
         lo_r, hi_r = _window(big_r, fb)
         limit, r_limit = sums.floor(big_t), sums.floor(big_r)
@@ -496,7 +500,8 @@ def _walk_exact(inputs, policy: PrecisionPolicy, radius):
     margin = None
     if radius is not None:
         gaps = [t.value * unit - t.sign * big_r for t in trackers[1:] if t.value is not None]
-        margin = float(min(gaps)) if gaps else None
+        if gaps:  # a gap past the float range reads inf, as in double
+            margin = float(min(gaps)) if min(gaps) <= _FLOAT_MAX else math.inf
     return 2 * hits, 2 * (hits - at_most_r), margin, policy.sqrt(least.value * unit), least.index
 
 

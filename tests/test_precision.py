@@ -271,6 +271,17 @@ class TestExactRecheck:
         assert report.min_norm == 1
         assert report.argmin.signs == (1, -1, 1, -1, 1, -1, 1, -1, 1)
 
+    def test_radius_past_the_float_range(self):
+        """r^2 = 1e400 exceeds every float: extended reports every sum and
+        margin inf, as double does, and interval's bound is inf, so it
+        refuses instead of raising OverflowError."""
+        config = random_unit_config(2, 5, seed=1)
+        for policy in (PrecisionPolicy.double(), PrecisionPolicy.extended(64)):
+            report = enumerate_signed_sums(config, 1e200, policy=policy)
+            assert (report.hits, report.margin) == (32, math.inf)
+        with pytest.raises(AmbiguousClassification, match="rounding bound inf"):
+            enumerate_signed_sums(config, 1e200, policy=PrecisionPolicy.interval(64))
+
     def test_ties_beyond_one_chunk(self):
         """orthomult:2:7,7 at ext:256: 2 * C(7,3)^2 sums tie at the minimum
         norm^2 2 (the odd multiplicities forbid 0), spread over 8 chunks."""
