@@ -325,10 +325,16 @@ def _oblique_pair(gram: np.ndarray, alpha: float):
 def detect_oblique(config: VectorConfig, alpha: float):
     """First (lexicographic) pair of indices whose inner product lies
     strictly inside (alpha, 1 - alpha) in absolute value, or None."""
+    return _oblique_scan(config, alpha)[1]
+
+
+def _oblique_scan(config: VectorConfig, alpha: float):
+    """The Gram matrix and detect_oblique's pair on it."""
     if not 0.0 < alpha < 0.5:
         raise ValueError(f"alpha must be in (0, 1/2), got {alpha!r}")
     rows = config.as_array()
-    return _oblique_pair(rows @ rows.T, alpha)
+    gram = rows @ rows.T
+    return gram, _oblique_pair(gram, alpha)
 
 
 def cluster_vectors(config: VectorConfig, zeta: float) -> Clustering:
@@ -339,16 +345,23 @@ def cluster_vectors(config: VectorConfig, zeta: float) -> Clustering:
     lowest near-parallel index; that the relation is an equivalence is
     verified on the actual input, not assumed.
     """
-    if not 0.0 < zeta <= 0.0016:
-        raise ValueError(f"zeta = {zeta!r} outside (0, 0.0016]")
+    _check_cluster_zeta(zeta)
     alpha = zeta**0.25
-    rows = config.as_array()
-    gram = rows @ rows.T
-    pair = _oblique_pair(gram, alpha)
+    gram, pair = _oblique_scan(config, alpha)
     if pair is not None:
         i, j = pair
+        rows = config.as_array()
         raise ObliquePairPresent(i, j, float(rows[i] @ rows[j]))
+    return _clusters(config, gram, alpha)
 
+
+def _check_cluster_zeta(zeta: float):
+    if not 0.0 < zeta <= 0.0016:
+        raise ValueError(f"zeta = {zeta!r} outside (0, 0.0016]")
+
+
+def _clusters(config: VectorConfig, gram: np.ndarray, alpha: float) -> Clustering:
+    """cluster_vectors past its oblique scan, on the Gram matrix it scanned."""
     near = np.abs(gram) >= 1.0 - alpha
     np.fill_diagonal(near, True)
     rep = near.argmax(axis=1)
@@ -532,10 +545,11 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         # approximate_point's bound, which the exact minimiser can only beat.
         case, guarantee = "fallback", _approximation_bound(config.as_array())
         portfolio = lambda: [approximate_point(config)]
-    elif (pair := detect_oblique(config, zeta**0.25)) is None:
-        # The cluster bound is closed form; cluster_vectors still raises when
+    elif (scan := _oblique_scan(config, zeta**0.25))[1] is None:
+        # The cluster bound is closed form; the clustering still raises when
         # its preconditions fail, and cluster_and_pair runs only above the cap.
-        cluster_vectors(config, zeta)
+        _check_cluster_zeta(zeta)
+        _clusters(config, scan[0], zeta**0.25)
         case = "clustered"
         guarantee = math.sqrt(d - max(eps_floor, d - _cluster_guarantee(d, zeta)**2))
         portfolio = lambda: [cluster_and_pair(config, zeta), approximate_point(config)]
@@ -545,7 +559,7 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         # minimiser can only do better.  A bound past sqrt(d) loses to the
         # floor in max().
         rows = config.as_array()
-        iu, iw = pair
+        iu, iw = pair = scan[1]
         case = "oblique"
         certificates = [eps_floor, d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
         splits = []

@@ -15,7 +15,9 @@ Three modes:
 
 The enumeration kernel is float64 in every mode; mpf survives in
 construction, JSON and the exact recheck's inputs.  The policy's methods
-are the only code in signsum that picks float or mpf.
+are the only code in signsum that picks float or mpf, and only their
+extended and interval branches import mpmath, so double-mode work never
+loads it.
 
 A policy also carries the classification tolerance: a signed sum counts as a
 hit at radius r when ``norm**2 <= r**2 + tolerance``.  The double-mode
@@ -30,10 +32,6 @@ import contextlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import mpmath
-from mpmath import mp
-from mpmath.libmp import from_man_exp
 
 DOUBLE_TOLERANCE = 1e-12
 
@@ -106,12 +104,18 @@ class PrecisionPolicy:
 
     def active(self):
         """Arithmetic on the policy's scalars runs inside ``with policy.active():``."""
-        return contextlib.nullcontext() if self.mode == "double" else mp.workprec(self.bits)
+        if self.mode == "double":
+            return contextlib.nullcontext()
+        from mpmath import mp
+
+        return mp.workprec(self.bits)
 
     def scalar(self, x):
         """x (a number, string, Fraction or mpf) as a float, or an mpf at the active bits."""
         if self.mode == "double":
             return float(x)
+        from mpmath import mp
+
         if isinstance(x, Fraction):
             return mp.mpf(x.numerator) / mp.mpf(x.denominator)
         return mp.mpf(x)
@@ -121,6 +125,9 @@ class PrecisionPolicy:
         extended and interval modes x may be a dyadic Fraction, taken exactly."""
         if self.mode == "double":
             return math.sqrt(x)
+        from mpmath import mp
+        from mpmath.libmp import from_man_exp
+
         if isinstance(x, Fraction):
             x = mp.make_mpf(from_man_exp(x.numerator, 1 - x.denominator.bit_length()))
         return mp.sqrt(x)
@@ -129,4 +136,6 @@ class PrecisionPolicy:
         """A decimal string that round-trips at the policy's precision."""
         if self.mode == "double":
             return repr(float(x))
-        return mpmath.nstr(mp.mpf(x), int(self.bits * 0.30103) + 3)
+        from mpmath import mp, nstr
+
+        return nstr(mp.mpf(x), int(self.bits * 0.30103) + 3)

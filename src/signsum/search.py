@@ -7,12 +7,15 @@ of spheres: perturb one vector at a time (only the 2^n partial sums touching
 that vector change), accept improvements, accept sideways moves with
 probability 1/2 to walk along ridges, and decay the perturbation scale
 geometrically.  Negation is exact, so the climb keeps only the eta_1 = +1
-half of the sign table, which has bitwise the same minimum.  Each restart
-draws from its own seeded generator, and the restarts of a block advance
-together as one (R, 2^(n-1), d) array per step; a block holds as many
-restarts as fit LOCKSTEP_BYTES, so a restart's result does not depend on its
-block.  Restarts are merged deterministically; the reported best value is
-re-verified by exact enumeration before returning.
+half of the sign table, component-major, and sums each norm^2 over the
+components in index order.  Each restart's seeded generator draws its rows,
+then per WINDOW steps the picks, the noise and a tie coin per step.  A
+rejected proposal changes nothing, so a block's restarts climb in
+speculative rounds: each scores its next K proposals in one (R, K, d,
+2^(n-1)) array and jumps past the first one accepted.  R and K come from
+LOCKSTEP_BYTES, and no result depends on them.  Restarts are merged
+deterministically; the reported best value is re-verified by exact
+enumeration before returning.
 """
 
 from __future__ import annotations
@@ -25,8 +28,12 @@ import numpy as np
 from .core import VectorConfig, check_enumerable, min_signed_norm, sign_table
 
 COUNTEREXAMPLE_MARGIN = 1e-6
-# Byte budget R * 2^(n-1) * d * 8 for the partial sums of one lockstep block.
+# Byte budget R * K * d * 2^(n-1) * 8 for a round's sums: R restarts, K proposals each.
 LOCKSTEP_BYTES = 1 << 20
+# Ceiling on K: at d = 3, K = 16 is faster than 12 at n = 4 but slower at n = 11.
+MAX_PROPOSALS = 12
+# Steps whose picks, noise and coins a restart draws at once.
+WINDOW = 256
 
 
 @dataclass(frozen=True)
@@ -70,9 +77,9 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     """Random-restart hill climbing over n unit vectors in R^d.
 
     Deterministic for a fixed spec: restart r draws from default_rng([seed,
-    r]), whatever block it climbs in, and the merge takes the maximum, ties
-    to the lowest restart index.  A configuration beating sqrt(d-1) at
-    mismatched parity is flagged as a counterexample candidate.
+    r]), whatever block and K it climbs with, and the merge takes the
+    maximum, ties to the lowest restart index.  A configuration beating
+    sqrt(d-1) at mismatched parity is flagged as a counterexample candidate.
     """
     check_enumerable(spec.n)  # before the 2^n sign table is built
     best_value = -1.0
@@ -113,57 +120,74 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
 
 
 def _min_norms(sums: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.min(np.einsum("rij,rij->ri", sums, sums), axis=1))
+    """Least norm over the last axis of sums (..., d, m), each norm^2 summed in
+    component order (add.reduce is not sequential at m = 1, d >= 8)."""
+    squares = sums * sums
+    total = squares[..., 0, :]
+    for k in range(1, sums.shape[-2]):
+        total = total + squares[..., k, :]
+    return np.sqrt(total.min(axis=-1))
 
 
 def _restarts(spec: SearchSpec):
     """Yield each restart's (rows, trace, settled value) in restart order,
     climbing one block of restarts at a time."""
     half = sign_table(np.eye(spec.n))[: 1 << (spec.n - 1)]
-    block = max(1, LOCKSTEP_BYTES // (half.shape[0] * spec.d * 8))
+    proposal = half.shape[0] * spec.d * 8
+    ahead = min(MAX_PROPOSALS, max(1, LOCKSTEP_BYTES // proposal))
+    block = max(1, LOCKSTEP_BYTES // (ahead * proposal))
     for first in range(0, spec.restarts, block):
-        yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts))))
+        yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts)), ahead))
 
 
-def _climb(spec: SearchSpec, half: np.ndarray, restarts: range):
-    """Run the given restarts together, one (R, 2^(n-1), d) sum array per
-    step; return each restart's rows, trace and settled value."""
+def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):
+    """Run the given restarts together on one (R, d, 2^(n-1)) sum table, in
+    rounds of ``ahead`` proposals each; return each restart's rows, trace
+    and settled value."""
     rngs = [np.random.default_rng([spec.seed, r]) for r in restarts]
     rows = np.array([rng.standard_normal((spec.n, spec.d)) for rng in rngs])
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
-    sums = half @ rows
-    values = _min_norms(sums).tolist()
-    traces = [[v] for v in values]
+    sums = (half @ rows).transpose(0, 2, 1).copy()
+    values = _min_norms(sums)
+    traces = [[v] for v in values.tolist()]
     columns = half.T.copy()  # row i holds the half table's signs of vector i
-    picked = np.empty(len(rngs), dtype=np.intp)
-    noise = np.empty((len(rngs), spec.d))
-    each = np.arange(len(rngs))
-    draws = list(enumerate(zip(rngs, noise)))
+    offsets = np.arange(ahead)
     step = spec.step_init
-    for _ in range(spec.steps):
-        for r, (rng, out) in draws:
-            picked[r] = rng.integers(spec.n)
-            rng.standard_normal(out=out)
-        old = rows[each, picked]
-        moved = old + step * noise
-        # vecdot rounds as the 1-D norm does; norm(axis=1) and einsum do not.
-        moved /= np.sqrt(np.vecdot(moved, moved))[:, None]
-        new_sums = sums + columns[picked][:, :, None] * (moved - old)[:, None, :]
-        accept = []
-        for r, new in enumerate(_min_norms(new_sums).tolist()):
-            if new > values[r]:
-                traces[r].append(new)
-            elif new != values[r] or rngs[r].random() >= 0.5:
-                continue  # a sideways move is taken with probability 1/2
-            values[r] = new
-            accept.append(r)
-        if accept:
-            rows[accept, picked[accept]] = moved[accept]
-            sums[accept] = new_sums[accept]
-        step *= spec.step_decay
+    for start in range(0, spec.steps, WINDOW):
+        width = min(WINDOW, spec.steps - start)
+        draws = [(rng.integers(spec.n, size=width), rng.standard_normal((width, spec.d)),
+                  rng.random(width) < 0.5) for rng in rngs]  # a sideways move needs heads
+        picks, noise, heads = map(np.array, zip(*draws))
+        sizes = np.multiply.accumulate(np.r_[step, np.full(width - 1, spec.step_decay)])
+        step, kicks = sizes[-1] * spec.step_decay, sizes[:, None] * noise
+        live, cursor = np.arange(len(rngs)), np.zeros(len(rngs), dtype=np.intp)
+        while live.size:
+            who, at = live[:, None], cursor[:, None] + offsets
+            valid = at < width
+            at = np.minimum(at, width - 1)
+            picked = picks[who, at]
+            old = rows[who, picked]
+            moved = old + kicks[who, at]
+            # vecdot rounds as the 1-D norm does; norm(axis=-1) and einsum do not.
+            moved /= np.sqrt(np.vecdot(moved, moved))[..., None]
+            new_sums = sums[who] + columns[picked][:, :, None, :] * (moved - old)[..., None]
+            new = _min_norms(new_sums)
+            current = values[who]
+            accept = valid & ((new > current) | ((new == current) & heads[who, at]))
+            taken, first = accept.any(axis=1), accept.argmax(axis=1)
+            cursor += np.where(taken, first + 1, ahead)
+            won, first = live[taken], first[taken]
+            gained = new[taken, first]
+            better = gained > values[won]
+            for r, v in zip(won[better].tolist(), gained[better].tolist()):
+                traces[r].append(v)
+            rows[won, picked[taken, first]] = moved[taken, first]
+            sums[won] = new_sums[taken, first]
+            values[won] = gained
+            live, cursor = live[cursor < width], cursor[cursor < width]
     # Incremental updates drift; settle each restart's value from scratch
     # (the trace keeps the incremental values so it stays nondecreasing).
-    return rows, traces, _min_norms(half @ rows).tolist()
+    return rows, traces, _min_norms((half @ rows).transpose(0, 2, 1)).tolist()
 
 
 def _balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:

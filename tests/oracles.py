@@ -7,7 +7,8 @@ does so in Fraction arithmetic with no floating filter, the chord oracle solves 
 circle-line intersection quadratic, the polar oracle goes through an
 eigenvalue square root instead of the SVD, the greedy oracle takes one
 vector at a time instead of one step of a batch of orders, the search
-oracle climbs one restart at a time on the full sign table, and the
+oracle climbs one restart and one step at a time on the full sign table
+and sums each norm^2 component by component, and the
 falsifier oracle scores every candidate from scratch.  The falsifier oracle
 alone shares a library kernel: its g is core.combine over the split tables,
 the g with which the library settles each start, so that equal ascents give
@@ -124,12 +125,23 @@ def uniform_sphere_abs_inner(d, pairs, seed):
     return float(np.mean(np.abs(np.einsum("ij,ij->i", u, v))))
 
 
+def _least_norm(sums):
+    """The least row norm of (m, d) sums, each norm^2 summed in component order."""
+    total = sums[:, 0] * sums[:, 0]
+    for k in range(1, sums.shape[1]):
+        total = total + sums[:, k] * sums[:, k]
+    return math.sqrt(float(total.min()))
+
+
 def serial_search(spec):
-    """The hill climb of search.maximize_min_norm, one restart at a time on
-    the full 2^n sign table: returns (best_rows, best_value, history,
-    exceeded_target).  best_value is the climb's settled value, not an
-    exact re-enumeration.  Each restart draws from default_rng([seed, r]):
-    integers, standard_normal, and random() only on an exact tie."""
+    """The hill climb of search.maximize_min_norm, one restart and one step
+    at a time on the full 2^n sign table: returns (best_rows, best_value,
+    history, exceeded_target).  best_value is the climb's settled value, not
+    an exact re-enumeration.  Each restart draws from default_rng([seed, r]):
+    its rows, then per window of search.WINDOW steps the picks, the noise
+    and one coin per step, read only on an exact tie."""
+    from signsum import search
+
     combos = np.array(list(itertools.product((1.0, -1.0), repeat=spec.n)))
     best_value, best_rows, history, exceeded = -1.0, None, [], False
     for restart in range(spec.restarts):
@@ -137,16 +149,22 @@ def serial_search(spec):
         rows = rng.standard_normal((spec.n, spec.d))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         sums = combos @ rows
-        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
+        value = _least_norm(sums)
         trace = [value]
         step = spec.step_init
-        for _ in range(spec.steps):
-            i = int(rng.integers(spec.n))
-            moved = rows[i] + step * rng.standard_normal(spec.d)
+        for t in range(spec.steps):
+            j = t % search.WINDOW
+            if j == 0:
+                width = min(search.WINDOW, spec.steps - t)
+                picks = rng.integers(spec.n, size=width)
+                noise = rng.standard_normal((width, spec.d))
+                coins = rng.random(width)
+            i = int(picks[j])
+            moved = rows[i] + step * noise[j]
             moved /= np.sqrt(np.vecdot(moved, moved))
             new_sums = sums + np.outer(combos[:, i], moved - rows[i])
-            new_value = math.sqrt(float(np.min(np.einsum("ij,ij->i", new_sums, new_sums))))
-            if new_value > value or (new_value == value and rng.random() < 0.5):
+            new_value = _least_norm(new_sums)
+            if new_value > value or (new_value == value and coins[j] < 0.5):
                 rows = rows.copy()
                 rows[i] = moved
                 sums = new_sums
@@ -154,8 +172,7 @@ def serial_search(spec):
                     trace.append(new_value)
                 value = new_value
             step *= spec.step_decay
-        sums = combos @ rows
-        value = math.sqrt(float(np.min(np.einsum("ij,ij->i", sums, sums))))
+        value = _least_norm(combos @ rows)
         history.append(tuple(trace))
         if value > best_value:
             best_value, best_rows = value, rows

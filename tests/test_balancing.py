@@ -419,6 +419,19 @@ class TestParityBalance:
         assert report.achieved_norm <= math.sqrt(2 - 2**-100 * 2.0**-80)
         assert report.case_taken == "clustered"
 
+    def test_clustered_branch_scans_once(self, monkeypatch):
+        """The dispatch and the clustering share one Gram matrix and one
+        oblique scan; the report is unchanged."""
+        calls = []
+        scan = balancing._oblique_pair
+        monkeypatch.setattr(balancing, "_oblique_pair", lambda *args: calls.append(args) or scan(*args))
+        report = parity_balance(construct_orthonormal_multiplicity(3, [2, 1, 1]))
+        assert len(calls) == 1
+        assert report == BalanceReport(algorithm="parity_balance",
+                                       signs=SignAssignment((1, -1, 1, 1)),
+                                       achieved_norm=1.4142135623730951,
+                                       guarantee=1.6854958959468618, case_taken="clustered")
+
     def test_tight_family_is_matched_exactly(self):
         report = parity_balance(construct_tight_family())
         assert report.achieved_norm == pytest.approx(math.sqrt(2), abs=1e-12)

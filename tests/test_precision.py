@@ -1,5 +1,8 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -23,6 +26,24 @@ from signsum.precision import PrecisionPolicy, default_tolerance
 
 
 class TestPolicy:
+    def test_double_work_leaves_mpmath_unloaded(self):
+        """Only the extended and interval branches import mpmath."""
+        import signsum
+
+        code = (
+            "import sys, signsum\n"
+            "from signsum.balancing import parity_balance\n"
+            "from signsum.search import SearchSpec, maximize_min_norm\n"
+            "config = signsum.validate_config([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])\n"
+            "signsum.min_signed_norm(config)\n"
+            "maximize_min_norm(SearchSpec(d=3, n=4, restarts=2, steps=20))\n"
+            "parity_balance(config)\n"
+            "assert 'mpmath' not in sys.modules, sorted(sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(signsum.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
     def test_parse_round_trip(self):
         for text in ("double", "ext:128", "ext:256", "interval:64", "interval:256"):
             policy = PrecisionPolicy.parse(text)

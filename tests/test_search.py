@@ -100,6 +100,7 @@ def _lockstep_specs():
         SearchSpec(d=3, n=6, restarts=3, steps=80, step_init=1.5, step_decay=1.0, seed=10),
         SearchSpec(d=2, n=2, restarts=20, steps=300, seed=3, target=1.414),
         SearchSpec(d=3, n=4, restarts=8, steps=100, seed=8, target=1.39),
+        SearchSpec(d=3, n=4, restarts=8, steps=100, seed=8, target=1.4),
         SearchSpec(d=1, n=3, restarts=4, steps=20, seed=2, target=0.5),
         SearchSpec(d=3, n=4, restarts=4, steps=50, seed=9, target=5.0),
     ]
@@ -131,12 +132,46 @@ class TestLockstep:
     @pytest.mark.parametrize("per_block", [0, 1, 3])
     def test_restarts_span_several_blocks(self, monkeypatch, per_block):
         d, n = 3, 5
-        monkeypatch.setattr(search, "LOCKSTEP_BYTES", per_block * 2 ** (n - 1) * d * 8)
+        monkeypatch.setattr(search, "LOCKSTEP_BYTES",
+                            per_block * search.MAX_PROPOSALS * 2 ** (n - 1) * d * 8)
         self._assert_matches(SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12))
-        # A target first beaten by restart 1, inside the first block of 3.
+        # A target first beaten by restart 3, the first of the second block of 3.
         result = self._assert_matches(
             SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12, target=1.336))
         assert result.exceeded_target and 1 < len(result.history) < 8
+
+
+class TestSpeculation:
+    """A round scores K proposals per restart and takes the first accepted;
+    the results equal the serial climb's for every K and block size."""
+
+    SPECS = (
+        # Ties: d = 1 rows are +-1 and every value is 1; a step of 4 flips signs.
+        SearchSpec(d=1, n=3, restarts=5, steps=40, step_init=4.0, step_decay=1.0, seed=31),
+        SearchSpec(d=1, n=1, restarts=3, steps=20, step_init=4.0, step_decay=1.0, seed=33),
+        SearchSpec(d=2, n=1, restarts=4, steps=37, seed=32),  # ties: values 1 to an ulp
+        SearchSpec(d=3, n=5, restarts=7, steps=70, seed=34),
+        SearchSpec(d=4, n=6, restarts=4, steps=50, step_init=1.0, step_decay=1.0, seed=35),
+    )
+
+    @pytest.mark.parametrize("per_block", [0, 1, 3])
+    @pytest.mark.parametrize("ahead", [1, 2, 5, 64])
+    def test_independent_of_proposals_and_block(self, monkeypatch, ahead, per_block):
+        monkeypatch.setattr(search, "WINDOW", 16)  # every spec spans several windows
+        expected = [maximize_min_norm(spec) for spec in self.SPECS]
+        climbs = []
+        climb = search._climb
+        monkeypatch.setattr(search, "_climb", lambda spec, half, restarts, k: (
+            climbs.append((len(restarts), k)) or climb(spec, half, restarts, k)))
+        monkeypatch.setattr(search, "MAX_PROPOSALS", ahead)
+        for spec, want in zip(self.SPECS, expected):
+            proposal = spec.d * 2 ** (spec.n - 1) * 8
+            monkeypatch.setattr(search, "LOCKSTEP_BYTES", per_block * ahead * proposal)
+            climbs.clear()
+            assert maximize_min_norm(spec) == want
+            TestLockstep._assert_matches(spec)
+            block = max(1, per_block)
+            assert climbs[0] == (min(block, spec.restarts), ahead if per_block else 1)
 
 
 class TestParitySweep:
