@@ -41,6 +41,7 @@ from .core import (
     check_enumerable,
     combine,
     min_signed_norm,
+    sign_columns,
     sign_table,
 )
 from .errors import (
@@ -209,30 +210,30 @@ def greedy_signs(config: VectorConfig, lam=None) -> BalanceReport:
 _FRACTIONAL_SNAP = 5e-13
 
 
-def _eliminate_rows(rows: np.ndarray, values: np.ndarray, k: int) -> tuple[np.ndarray, list[int]]:
+def _eliminate_rows(rows: np.ndarray, values, k: int) -> tuple[np.ndarray, list[int]]:
     """Elimination on raw (n, d) rows; returns the rounded coefficients (a
-    new array) and the indices still fractional, at most k of them."""
+    new array) and the indices still fractional, at most k of them.  The
+    coefficients are Python floats, and a round clips only the d+1 it moves."""
     d = rows.shape[1]
-    values = np.array(values, dtype=float)
-    fractional = [i for i in range(len(values)) if abs(values[i]) < 1.0]
+    values = [float(x) for x in values]
+    fractional = [i for i, x in enumerate(values) if abs(x) < 1.0]
 
     while len(fractional) > k:
         subset = fractional[: d + 1]
         A = rows[subset].T  # d x (d+1): always has a nontrivial null vector
-        _, _, Vt = np.linalg.svd(A)
-        beta = Vt[-1]
-        residual = float(np.max(np.abs(A @ beta)))
-        if residual > 1e-8:
+        null = np.linalg.svd(A)[2][-1]
+        residual = (A @ null).tolist()
+        if not all(abs(r) <= 1e-8 for r in residual):  # NaN fails too
             raise NumericalNullspaceFailure(
-                f"null combination residual {residual!r} over indices {subset}"
-            )
+                f"null combination residual {float(np.max(np.abs(residual)))!r} "
+                f"over indices {subset}")
+        beta = null.tolist()
 
         # Feasible scaling range [lo, hi] keeps every |lam + gamma*beta| <= 1;
         # at each end some coordinate binds at +/-1.
         hi, hi_local, hi_target = math.inf, -1, 0
         lo, lo_local, lo_target = -math.inf, -1, 0
-        for loc, i in enumerate(subset):
-            b = beta[loc]
+        for loc, (i, b) in enumerate(zip(subset, beta)):
             if abs(b) < 1e-14:
                 continue
             room_up = (1.0 - values[i]) / b
@@ -249,15 +250,12 @@ def _eliminate_rows(rows: np.ndarray, values: np.ndarray, k: int) -> tuple[np.nd
         else:
             gamma, binding_local, target = lo, lo_local, lo_target
 
-        for loc, i in enumerate(subset):
-            values[i] += gamma * beta[loc]
-        np.clip(values, -1.0, 1.0, out=values)
+        for i, b in zip(subset, beta):
+            x = min(1.0, max(-1.0, values[i] + gamma * b))
+            values[i] = math.copysign(1.0, x) if abs(abs(x) - 1.0) < _FRACTIONAL_SNAP else x
         values[subset[binding_local]] = float(target)
-        for i in subset:
-            if abs(abs(values[i]) - 1.0) < _FRACTIONAL_SNAP:
-                values[i] = math.copysign(1.0, values[i])
         fractional = [i for i in fractional if abs(values[i]) < 1.0]
-    return values, fractional
+    return np.array(values), fractional
 
 
 def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
@@ -641,10 +639,10 @@ def approximation_falsifier(
     rows = config.as_array()
 
     split = (n + 1) // 2
-    head, tail = sign_table(rows[:split]), sign_table(rows[split:])
+    head, tail = sign_columns(rows[:split]), sign_columns(rows[split:])
 
     def g(lam: np.ndarray) -> float:
-        return min(float(ns.min()) for ns in combine(head + lam @ rows, tail))
+        return min(float(ns.min()) for ns in combine(head + (lam @ rows)[:, None], tail))
 
     table = sign_table(rows)
     gram = rows @ rows.T

@@ -26,6 +26,7 @@ raises AmbiguousClassification when some sum's exact norm^2 lies within
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -101,8 +102,8 @@ class VectorConfig:
 
     ``strict`` mode requires every norm to lie within ``norm_tolerance`` of 1;
     ``beck`` mode only requires norms <= 1 + norm_tolerance.  Entries may be
-    floats or mpmath scalars (extended-precision constructions); validation
-    measures norms in double, which is far below the default tolerance.
+    floats or mpmath scalars; validation measures norms in double, far below
+    the default tolerance, and keeps the float rows read-only for the kernel.
     """
 
     dim: int
@@ -124,20 +125,25 @@ class VectorConfig:
                 raise DimensionMismatch(
                     f"vector {i} has dimension {len(row)}, expected {self.dim}"
                 )
-            norm = float(sum(float(x) * float(x) for x in row)) ** 0.5
+            norm = float(sum([float(x) * float(x) for x in row])) ** 0.5
             if self.mode == "strict":
                 if not abs(norm - 1.0) <= self.norm_tolerance:
                     raise NormViolation(i, norm)
             else:
                 if not norm <= 1.0 + self.norm_tolerance:
                     raise NormViolation(i, norm, f"vector {i} has norm {norm!r} > 1")
+        object.__setattr__(self, "_floats", np.array(self.vectors, dtype=float))
+        self._floats.flags.writeable = False
+
+    def __reduce__(self):  # unpickling validates again and rebuilds _floats
+        return VectorConfig, (self.dim, self.vectors, self.mode, self.norm_tolerance)
 
     @property
     def n(self) -> int:
         return len(self.vectors)
 
     def as_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.vectors], dtype=float)
+        return self._floats.copy()  # a fresh, writable copy
 
     def replaced(self, index: int, vector) -> "VectorConfig":
         rows = list(self.vectors)
@@ -205,29 +211,50 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
         return tuple(acc)
 
 
+@functools.cache
+def _sign_matrix(k: int) -> np.ndarray:
+    """(k, 2^k) signs in the doubling's order: [t, m] is -1 iff bit t of m is set."""
+    return 1.0 - 2.0 * (np.arange(1 << k) >> np.arange(k)[:, None] & 1)
+
+
+def sign_columns(rows: np.ndarray) -> np.ndarray:
+    """``sign_table(rows)`` as a new component-major (d, 2^k) array.  The first
+    min(k, 6) terms in the doubling's order (last row first) go through one
+    sequential add.accumulate over cached signs; the other rows double in
+    place.  eta * v is exact and x + (-v) is x - v, and adding +0.0 (the zero
+    row) turns an all-(-0.0) sum back into +0.0: each sum has the doubling's bits."""
+    k, d = rows.shape
+    j = min(k, 6)
+    terms = _sign_matrix(j)[:, None, :] * rows[::-1][:j, :, None]
+    table = np.empty((d, 1 << k))
+    size = 1 << j
+    last = np.add.accumulate(terms, out=terms)[-1:]  # empty when k = 0
+    np.add.reduce(last, axis=0, initial=0.0, out=table[:, :size])  # on the zero row
+    for row in rows[: k - j][::-1, :, None]:
+        np.subtract(table[:, :size], row, out=table[:, size : 2 * size])
+        table[:, :size] += row
+        size *= 2
+    return table
+
+
 def sign_table(rows: np.ndarray) -> np.ndarray:
-    """All 2^k signed sums of the k rows, built by doubling.
+    """All 2^k signed sums of the k rows, a C-contiguous (2^k, d) array.
 
     Row m of the result has eta_i = -1 iff bit k-1-i of m is set, so
     ascending m is lexicographic order with +1 before -1.
     """
-    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
-    for row in rows[::-1]:
-        table = np.concatenate([table + row, table - row])
-    return table
+    return np.ascontiguousarray(sign_columns(rows).T)
 
 
 def combine(head: np.ndarray, tail: np.ndarray):
-    """Yield the norm^2 of every head[a] + tail[b] in ascending index
-    a * len(tail) + b, in chunks of _CHUNK sums.
+    """Yield the norm^2 of every head[:, a] + tail[:, b] in ascending index
+    a * width(tail) + b, in chunks of _CHUNK sums.
 
-    Both lengths must be powers of two, as sign_table makes them; then every
-    chunk is full unless it is the only one.
+    Both tables are component-major (d, 2^k), as ``sign_columns`` makes
+    them; then every chunk is full unless it is the only one.
     """
-    per_chunk = max(1, _CHUNK // len(tail))
-    width = min(len(tail), _CHUNK)
-    # Component-major copies keep numpy's inner loops long and contiguous.
-    head, tail = head.T.copy(), tail.T.copy()
+    per_chunk = max(1, _CHUNK // tail.shape[1])
+    width = min(tail.shape[1], _CHUNK)
     for a in range(0, head.shape[1], per_chunk):
         for b in range(0, tail.shape[1], width):
             sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
@@ -238,7 +265,7 @@ def half_norms_sq(rows: np.ndarray):
     """Chunks of the norm^2 of every signed sum of the rows with eta_1 = +1,
     the lexicographically first half, in lexicographic order."""
     split = (len(rows) + 1) // 2
-    return combine(rows[0] + sign_table(rows[1:split]), sign_table(rows[split:]))
+    return combine(sign_columns(rows[1:split]) + rows[0][:, None], sign_columns(rows[split:]))
 
 
 def check_enumerable(n: int):
@@ -260,8 +287,8 @@ def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
     * Converting an entry x errs by at most one ulp, 2u*|x|, which covers
       rounding to nearest and toward zero, or by 2^-1074 where binary64
       underflows.  Each term of a coordinate then meets at most n - 1
-      additions in ``sign_table`` and head + tail (adding to the table's
-      zero row is exact), and (1 + 2u)(1 + gamma_{n-1}) <= 1 + gamma_{n+1}.
+      additions in ``sign_columns`` (in the doubling's order) and head +
+      tail, adding to +0.0 being exact, and (1 + 2u)(1 + gamma_{n-1}) <= 1 + gamma_{n+1}.
       So the computed coordinate is off by at most
       e_j = gamma_{n+1} * S_j + 2n * 2^-1074.
     * The exact squares of the computed coordinates then sum to within
@@ -509,15 +536,14 @@ def _walk(config: VectorConfig, policy: PrecisionPolicy, radius):
     """(hits, band_count, margin, min_norm, argmin) of the census."""
     n = config.n
     check_enumerable(n)
-    with policy.active():
-        inputs = [[policy.scalar(x) for x in row] for row in config.vectors]
-        if policy.mode == "double":
-            hits, band, margin, min_norm, index = _walk_float(
-                np.array(inputs), radius, policy.classification_tolerance)
-        else:
-            hits, band, margin, min_norm, index = _walk_exact(inputs, policy, radius)
+    if policy.mode == "double":  # policy.scalar is float() in double mode
+        *census, index = _walk_float(config._floats, radius, policy.classification_tolerance)
+    else:
+        with policy.active():
+            inputs = [[policy.scalar(x) for x in row] for row in config.vectors]
+            *census, index = _walk_exact(inputs, policy, radius)
     signs = tuple(-1 if (index >> (n - 1 - i)) & 1 else 1 for i in range(n))
-    return hits, band, margin, min_norm, SignAssignment(signs)
+    return (*census, SignAssignment(signs))
 
 
 def enumerate_signed_sums(

@@ -12,10 +12,10 @@ components in index order.  Each restart's seeded generator draws its rows,
 then per WINDOW steps the picks, the noise and a tie coin per step.  A
 rejected proposal changes nothing, so a block's restarts climb in
 speculative rounds: each scores its next K proposals in one (R, K, d,
-2^(n-1)) array and jumps past the first one accepted.  R and K come from
-LOCKSTEP_BYTES, and no result depends on them.  Restarts are merged
-deterministically; the reported best value is re-verified by exact
-enumeration before returning.
+2^(n-1)) array and jumps past the first one accepted.  K falls as the
+table grows, R fits LOCKSTEP_BYTES, and no result depends on either.
+Restarts are merged deterministically; the best value is re-verified by
+exact enumeration.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .core import VectorConfig, check_enumerable, min_signed_norm, sign_table
 COUNTEREXAMPLE_MARGIN = 1e-6
 # Byte budget R * K * d * 2^(n-1) * 8 for a round's sums: R restarts, K proposals each.
 LOCKSTEP_BYTES = 1 << 20
-# Ceiling on K: at d = 3, K = 16 is faster than 12 at n = 4 but slower at n = 11.
-MAX_PROPOSALS = 12
 # Steps whose picks, noise and coins a restart draws at once.
 WINDOW = 256
 
@@ -134,10 +132,16 @@ def _restarts(spec: SearchSpec):
     climbing one block of restarts at a time."""
     half = sign_table(np.eye(spec.n))[: 1 << (spec.n - 1)]
     proposal = half.shape[0] * spec.d * 8
-    ahead = min(MAX_PROPOSALS, max(1, LOCKSTEP_BYTES // proposal))
+    ahead = min(_proposals(half.shape[0]), max(1, LOCKSTEP_BYTES // proposal))
     block = max(1, LOCKSTEP_BYTES // (ahead * proposal))
     for first in range(0, spec.restarts, block):
         yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts)), ahead))
+
+
+def _proposals(sums: int) -> int:
+    """K for a half table of ``sums`` sums: a proposal past the accepted one
+    is a wasted pass over the table, so K = sqrt(2^16 / sums) within [6, 32]."""
+    return min(32, max(6, math.isqrt(65536 // sums)))
 
 
 def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):

@@ -13,12 +13,87 @@ falsifier oracle scores every candidate from scratch.  The falsifier oracle
 alone shares a library kernel: its g is core.combine over the split tables,
 the g with which the library settles each start, so that equal ascents give
 bitwise equal values.
+
+The bit-level oracles keep earlier forms of library kernels whose bits the
+library must still produce: ``doubling_sign_table`` and
+``doubling_half_norms_sq`` build every table by concatenated doubling, and
+``scalar_eliminate_rows`` runs elimination on numpy scalars, clipping every
+coefficient each round.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+_CHUNK = 1 << 10
+
+
+def doubling_sign_table(rows):
+    """All 2^k signed sums of the k rows by doubling from a zero row, the
+    last row first: row m has eta_i = -1 iff bit k-1-i of m is set."""
+    table = np.zeros((1, rows.shape[1]), dtype=rows.dtype)
+    for row in rows[::-1]:
+        table = np.concatenate([table + row, table - row])
+    return table
+
+
+def doubling_half_norms_sq(rows):
+    """Chunks of 2^10 norms^2 of the eta_1 = +1 half in lexicographic
+    order: v_1 plus a doubled head, a doubled tail, both transposed to
+    component-major copies, and each chunk's squares summed over axis 0."""
+    split = (len(rows) + 1) // 2
+    head = (rows[0] + doubling_sign_table(rows[1:split])).T.copy()
+    tail = doubling_sign_table(rows[split:]).T.copy()
+    per_chunk = max(1, _CHUNK // tail.shape[1])
+    width = min(tail.shape[1], _CHUNK)
+    for a in range(0, head.shape[1], per_chunk):
+        for b in range(0, tail.shape[1], width):
+            sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
+            yield (sums * sums).sum(axis=0).ravel()
+
+
+def scalar_eliminate_rows(rows, values, k, snap=5e-13):
+    """Elimination on numpy scalars: each round takes the d+1 lowest-index
+    fractional coefficients, moves them along the SVD's null vector until
+    one binds at +/-1 (smallest |scale|, ties to the positive side), clips
+    every coefficient to [-1, 1] and snaps those within ``snap`` of +/-1.
+    Returns the coefficients and the indices still fractional."""
+    d = rows.shape[1]
+    values = np.array(values, dtype=float)
+    fractional = [i for i in range(len(values)) if abs(values[i]) < 1.0]
+    while len(fractional) > k:
+        subset = fractional[: d + 1]
+        A = rows[subset].T
+        beta = np.linalg.svd(A)[2][-1]
+        assert float(np.max(np.abs(A @ beta))) <= 1e-8
+        hi, hi_local, hi_target = math.inf, -1, 0
+        lo, lo_local, lo_target = -math.inf, -1, 0
+        for loc, i in enumerate(subset):
+            b = beta[loc]
+            if abs(b) < 1e-14:
+                continue
+            room_up = (1.0 - values[i]) / b
+            room_down = (-1.0 - values[i]) / b
+            pos, pos_target = (room_up, 1) if b > 0 else (room_down, -1)
+            neg, neg_target = (room_down, -1) if b > 0 else (room_up, 1)
+            if pos < hi:
+                hi, hi_local, hi_target = pos, loc, pos_target
+            if neg > lo:
+                lo, lo_local, lo_target = neg, loc, neg_target
+        if hi <= -lo:
+            gamma, binding_local, target = hi, hi_local, hi_target
+        else:
+            gamma, binding_local, target = lo, lo_local, lo_target
+        for loc, i in enumerate(subset):
+            values[i] += gamma * beta[loc]
+        np.clip(values, -1.0, 1.0, out=values)
+        values[subset[binding_local]] = float(target)
+        for i in subset:
+            if abs(abs(values[i]) - 1.0) < snap:
+                values[i] = math.copysign(1.0, values[i])
+        fractional = [i for i in fractional if abs(values[i]) < 1.0]
+    return values, fractional
 
 
 def census(config, radius, tol=1e-12):
@@ -189,16 +264,16 @@ def serial_falsifier(config, r, budget, seed):
     witness, best_start), the coefficients as a tuple and the witness as a
     tuple or None."""
     from signsum.balancing import _ASCENT_LADDER, _MAX_SWEEPS_PER_STEP
-    from signsum.core import combine, sign_table
+    from signsum.core import combine
 
     n, d = config.n, config.dim
     rows = config.as_array()
 
     split = (n + 1) // 2
-    head, tail = sign_table(rows[:split]), sign_table(rows[split:])
+    head, tail = doubling_sign_table(rows[:split]), doubling_sign_table(rows[split:])
 
     def g(lam: np.ndarray) -> float:
-        return min(float(ns.min()) for ns in combine(head + lam @ rows, tail))
+        return min(float(ns.min()) for ns in combine((head + lam @ rows).T, tail.T))
 
     rng = np.random.default_rng(seed)
     best_val = -1.0

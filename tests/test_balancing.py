@@ -30,6 +30,7 @@ from signsum.constructions import (
 from signsum.core import SignAssignment, min_signed_norm, validate_config
 from signsum.errors import (
     NotOblique,
+    NumericalNullspaceFailure,
     ObliquePairPresent,
     OutOfRange,
     ParityMismatch,
@@ -39,7 +40,13 @@ from signsum.errors import (
     TransitivityViolation,
 )
 
-from oracles import brute_min, greedy_pass, min_approx_error_sq, serial_falsifier
+from oracles import (
+    brute_min,
+    greedy_pass,
+    min_approx_error_sq,
+    scalar_eliminate_rows,
+    serial_falsifier,
+)
 
 
 def _short_vector_config(d, n, seed):
@@ -174,6 +181,50 @@ class TestEliminate:
         assert np.all(np.abs(values) <= 1.0)
         for i, fixed in enumerate(result.fixed_mask):
             assert fixed == (abs(values[i]) == 1.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestEliminateBits:
+    """Elimination on Python floats returns the numpy-scalar oracle's bits."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 48), st.integers(0, 10**6),
+           st.sampled_from(["zeros", "uniform", "units", "mixed", "halves"]), st.integers(0, 2))
+    def test_equals_scalar_oracle(self, d, n, seed, kind, extra):
+        rng = np.random.default_rng(seed)
+        rows = random_unit_config(d, n, seed=seed).as_array()
+        # zeros tie hi == -lo in every first round; halves on a line tie again.
+        lam = {"zeros": np.zeros(n),
+               "uniform": rng.uniform(-1, 1, n),
+               "units": rng.choice([-1.0, 1.0, 0.0, -0.0], n),
+               "mixed": np.where(rng.random(n) < 0.6, rng.choice([-1.0, 1.0], n),
+                                 rng.uniform(-1, 1, n)),
+               "halves": rng.choice([-0.5, 0.5, 0.25, -0.25], n)}[kind]
+        k = d + extra
+        values, fractional = balancing._eliminate_rows(rows, lam, k)
+        want_values, want_fractional = scalar_eliminate_rows(rows, lam, k)
+        assert _bits(values) == _bits(want_values)
+        assert fractional == want_fractional
+
+    def test_ties_on_parallel_rows(self):
+        # Repeated rows make beta's entries equal up to sign, so several
+        # coordinates bind at once and hi == -lo with lam = 0.
+        rows = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
+        for lam in (np.zeros(7), np.array([0.5, -0.5, 0.5, -0.5, 0.0, 0.0, 1.0])):
+            values, fractional = balancing._eliminate_rows(rows, lam, 2)
+            want_values, want_fractional = scalar_eliminate_rows(rows, lam, 2)
+            assert _bits(values) == _bits(want_values) and fractional == want_fractional
+
+    def test_nan_residual_is_refused(self, monkeypatch):
+        def nan_svd(A):
+            return None, None, np.full((A.shape[1], A.shape[1]), math.nan)
+
+        monkeypatch.setattr(balancing.np.linalg, "svd", nan_svd)
+        with pytest.raises(NumericalNullspaceFailure, match="nan"):
+            eliminate(random_unit_config(2, 5, seed=1), None, k=2)
 
 
 class TestApproximatePoint:

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -15,11 +16,11 @@ from signsum.core import (
     signed_sum,
     validate_config,
 )
-from signsum.constructions import random_unit_config
+from signsum.constructions import ConstructionSpec, random_unit_config
 from signsum.errors import DimensionMismatch, NormViolation, OutOfRange, TooLarge
 from signsum.precision import PrecisionPolicy
 
-from oracles import census
+from oracles import census, doubling_half_norms_sq, doubling_sign_table
 
 
 class TestValidation:
@@ -313,3 +314,94 @@ def test_double_band_count_is_the_float_band(seed, n, pick, tolerance, ulps):
     gaps = np.abs(norms_sq - radius_sq)
     gaps = gaps[gaps > tolerance]
     assert report.margin == (float(gaps.min()) if gaps.size else 0.0)
+
+
+# Entries for the bit-level tests: signed zeros, subnormals, and normal
+# magnitudes from 1e-300 to 1e300, whose sums of up to 14 stay finite.
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, -1e-310]),
+    st.floats(-1e-300, 1e-300).filter(lambda x: x == 0 or abs(x) < 2.2250738585072014e-308),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def _bit_rows(draw, max_k=14):
+    """(k, d) rows, k <= 14 and d <= 9, some columns all +-0.0."""
+    k, d = draw(st.integers(0, max_k)), draw(st.integers(1, 9))
+    rows = np.array(draw(st.lists(_ENTRIES, min_size=k * d, max_size=k * d)), dtype=float)
+    rows = rows.reshape(k, d)
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        rows[:, j] = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=k, max_size=k))
+    return rows
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestSignTableBits:
+    """The cached-matrix kernel gives the doubling's bits, signed zeros and
+    subnormals included; np.array_equal would miss a -0.0."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bit_rows())
+    def test_sign_table_equals_doubling(self, rows):
+        table = core.sign_table(rows)
+        assert table.flags.c_contiguous and table.shape == (2 ** len(rows), rows.shape[1])
+        assert np.array_equal(_bits(table), _bits(doubling_sign_table(rows)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_bit_rows().filter(len))
+    def test_half_norms_sq_chunks_equal_doubling(self, rows):
+        with np.errstate(over="ignore"):  # squares past 1e154 are inf in both
+            ours, theirs = list(core.half_norms_sq(rows)), list(doubling_half_norms_sq(rows))
+        assert len(ours) == len(theirs)
+        assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(ours, theirs))
+
+    @pytest.mark.parametrize("k", range(0, 15))
+    def test_every_size_with_zero_columns(self, k):
+        rng = np.random.default_rng(k)
+        rows = rng.standard_normal((k, 4))
+        rows[:, 1], rows[:, 3] = 0.0, -0.0
+        assert np.array_equal(_bits(core.sign_table(rows)), _bits(doubling_sign_table(rows)))
+        if k:
+            for a, b in zip(core.half_norms_sq(rows), doubling_half_norms_sq(rows)):
+                assert np.array_equal(_bits(a), _bits(b))
+
+
+class TestConfigArray:
+    """VectorConfig keeps one read-only float array; as_array hands out copies."""
+
+    def test_as_array_is_a_fresh_writable_copy(self):
+        config = random_unit_config(3, 9, seed=4)
+        expected = min_signed_norm(config)
+        first = config.as_array()
+        assert first.flags.writeable and first is not config.as_array()
+        first[:] = 0.0
+        assert np.array_equal(config.as_array(), np.array(config.vectors))
+        assert min_signed_norm(config) == expected
+
+    @pytest.mark.parametrize("spec, precision", [("exponential:9", "ext:256"),
+                                                 ("tight", "ext:128"), ("random:4:7", "double")])
+    def test_kept_rows_are_float_of_each_entry(self, spec, precision):
+        config = ConstructionSpec.from_string(spec, seed=2).build(PrecisionPolicy.parse(precision))
+        want = np.array([[float(x) for x in row] for row in config.vectors])
+        assert np.array_equal(_bits(config.as_array()), _bits(want))
+
+    def test_kept_array_is_read_only(self):
+        config = random_unit_config(2, 3, seed=5)
+        with pytest.raises(ValueError):
+            config._floats[0, 0] = 0.0
+
+    def test_equality_hash_repr_and_pickle(self):
+        a = random_unit_config(3, 5, seed=6)
+        b = VectorConfig(a.dim, a.vectors, a.mode, a.norm_tolerance)
+        assert a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.dim, a.vectors, a.mode, a.norm_tolerance))
+        assert "_floats" not in repr(a)
+        assert a != a.replaced(0, (0.0, 0.0, 1.0))
+        clone = pickle.loads(pickle.dumps(a))
+        assert clone == a and hash(clone) == hash(a)
+        assert np.array_equal(clone.as_array(), a.as_array())
+        assert not clone._floats.flags.writeable

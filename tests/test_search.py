@@ -132,8 +132,9 @@ class TestLockstep:
     @pytest.mark.parametrize("per_block", [0, 1, 3])
     def test_restarts_span_several_blocks(self, monkeypatch, per_block):
         d, n = 3, 5
+        sums = 2 ** (n - 1)
         monkeypatch.setattr(search, "LOCKSTEP_BYTES",
-                            per_block * search.MAX_PROPOSALS * 2 ** (n - 1) * d * 8)
+                            per_block * search._proposals(sums) * sums * d * 8)
         self._assert_matches(SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12))
         # A target first beaten by restart 3, the first of the second block of 3.
         result = self._assert_matches(
@@ -163,7 +164,7 @@ class TestSpeculation:
         climb = search._climb
         monkeypatch.setattr(search, "_climb", lambda spec, half, restarts, k: (
             climbs.append((len(restarts), k)) or climb(spec, half, restarts, k)))
-        monkeypatch.setattr(search, "MAX_PROPOSALS", ahead)
+        monkeypatch.setattr(search, "_proposals", lambda sums: ahead)
         for spec, want in zip(self.SPECS, expected):
             proposal = spec.d * 2 ** (spec.n - 1) * 8
             monkeypatch.setattr(search, "LOCKSTEP_BYTES", per_block * ahead * proposal)
@@ -172,6 +173,16 @@ class TestSpeculation:
             TestLockstep._assert_matches(spec)
             block = max(1, per_block)
             assert climbs[0] == (min(block, spec.restarts), ahead if per_block else 1)
+
+
+    @pytest.mark.parametrize("n, ahead", [(1, 32), (4, 32), (8, 22), (9, 16), (11, 8), (12, 6)])
+    def test_proposals_fall_with_table_size(self, monkeypatch, n, ahead):
+        climbs = []
+        climb = search._climb
+        monkeypatch.setattr(search, "_climb", lambda spec, half, restarts, k: (
+            climbs.append(k) or climb(spec, half, restarts, k)))
+        maximize_min_norm(SearchSpec(d=3, n=n, restarts=1, steps=3, seed=36))
+        assert climbs == [ahead]
 
 
 class TestParitySweep:
