@@ -125,7 +125,7 @@ class VectorConfig:
                 raise DimensionMismatch(
                     f"vector {i} has dimension {len(row)}, expected {self.dim}"
                 )
-            norm = float(sum([float(x) * float(x) for x in row])) ** 0.5
+            norm = float(sum(float(x) * float(x) for x in row)) ** 0.5
             if self.mode == "strict":
                 if not abs(norm - 1.0) <= self.norm_tolerance:
                     raise NormViolation(i, norm)
@@ -214,15 +214,17 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
 @functools.cache
 def _sign_matrix(k: int) -> np.ndarray:
     """(k, 2^k) signs in the doubling's order: [t, m] is -1 iff bit t of m is set."""
-    return 1.0 - 2.0 * (np.arange(1 << k) >> np.arange(k)[:, None] & 1)
+    signs = 1.0 - 2.0 * (np.arange(1 << k) >> np.arange(k)[:, None] & 1)
+    signs.flags.writeable = False  # one array for every caller
+    return signs
 
 
 def sign_columns(rows: np.ndarray) -> np.ndarray:
-    """``sign_table(rows)`` as a new component-major (d, 2^k) array.  The first
-    min(k, 6) terms in the doubling's order (last row first) go through one
-    sequential add.accumulate over cached signs; the other rows double in
-    place.  eta * v is exact and x + (-v) is x - v, and adding +0.0 (the zero
-    row) turns an all-(-0.0) sum back into +0.0: each sum has the doubling's bits."""
+    """``sign_table(rows)`` as a new component-major (d, 2^k) array: one
+    sequential add.accumulate over cached signs sums the first min(k, 6) terms
+    in the doubling's order (last row first; six bound its transient), and the
+    other rows double in place.  eta * v is exact, x + (-v) is x - v, and +0.0,
+    the zero row, turns an all-(-0.0) sum into +0.0: the doubling's bits."""
     k, d = rows.shape
     j = min(k, 6)
     terms = _sign_matrix(j)[:, None, :] * rows[::-1][:j, :, None]
@@ -248,7 +250,7 @@ def sign_table(rows: np.ndarray) -> np.ndarray:
 
 def combine(head: np.ndarray, tail: np.ndarray):
     """Yield the norm^2 of every head[:, a] + tail[:, b] in ascending index
-    a * width(tail) + b, in chunks of _CHUNK sums.
+    a * tail.shape[1] + b, in chunks of _CHUNK sums.
 
     Both tables are component-major (d, 2^k), as ``sign_columns`` makes
     them; then every chunk is full unless it is the only one.
@@ -262,8 +264,9 @@ def combine(head: np.ndarray, tail: np.ndarray):
 
 
 def half_norms_sq(rows: np.ndarray):
-    """Chunks of the norm^2 of every signed sum of the rows with eta_1 = +1,
-    the lexicographically first half, in lexicographic order."""
+    """Chunks of the norm^2 of every signed sum with eta_1 = +1 (the first half)
+    in lexicographic order, over head v_1 + ``sign_columns`` of the rows up to
+    the split and tail ``sign_columns`` of the rest: the doubling's bits."""
     split = (len(rows) + 1) // 2
     return combine(sign_columns(rows[1:split]) + rows[0][:, None], sign_columns(rows[split:]))
 

@@ -13,9 +13,8 @@ then per WINDOW steps the picks, the noise and a tie coin per step.  A
 rejected proposal changes nothing, so a block's restarts climb in
 speculative rounds: each scores its next K proposals in one (R, K, d,
 2^(n-1)) array and jumps past the first one accepted.  K falls as the
-table grows, R fits LOCKSTEP_BYTES, and no result depends on either.
-Restarts are merged deterministically; the best value is re-verified by
-exact enumeration.
+table grows and R fits LOCKSTEP_BYTES; no result depends on either.  Restarts
+merge deterministically; the best value is re-verified by exact enumeration.
 """
 
 from __future__ import annotations

@@ -210,8 +210,8 @@ class TestEliminateBits:
         assert fractional == want_fractional
 
     def test_ties_on_parallel_rows(self):
-        # Repeated rows make beta's entries equal up to sign, so several
-        # coordinates bind at once and hi == -lo with lam = 0.
+        # Parallel rows leave the SVD a null space of dimension two; lam = 0
+        # ties hi == -lo, and the second lam starts half the subset on +-1/2.
         rows = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
         for lam in (np.zeros(7), np.array([0.5, -0.5, 0.5, -0.5, 0.0, 0.0, 1.0])):
             values, fractional = balancing._eliminate_rows(rows, lam, 2)

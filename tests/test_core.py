@@ -326,9 +326,9 @@ _ENTRIES = st.one_of(
 
 
 @st.composite
-def _bit_rows(draw, max_k=14):
+def _bit_rows(draw):
     """(k, d) rows, k <= 14 and d <= 9, some columns all +-0.0."""
-    k, d = draw(st.integers(0, max_k)), draw(st.integers(1, 9))
+    k, d = draw(st.integers(0, 14)), draw(st.integers(1, 9))
     rows = np.array(draw(st.lists(_ENTRIES, min_size=k * d, max_size=k * d)), dtype=float)
     rows = rows.reshape(k, d)
     for j in draw(st.sets(st.integers(0, d - 1), max_size=d)):

@@ -174,7 +174,6 @@ class TestSpeculation:
             block = max(1, per_block)
             assert climbs[0] == (min(block, spec.restarts), ahead if per_block else 1)
 
-
     @pytest.mark.parametrize("n, ahead", [(1, 32), (4, 32), (8, 22), (9, 16), (11, 8), (12, 6)])
     def test_proposals_fall_with_table_size(self, monkeypatch, n, ahead):
         climbs = []
