@@ -39,10 +39,8 @@ from .core import (
     SignAssignment,
     VectorConfig,
     check_enumerable,
-    combine,
     min_signed_norm,
     sign_columns,
-    sign_table,
 )
 from .errors import (
     DimensionMismatch,
@@ -616,15 +614,16 @@ def approximation_falsifier(
     maximise g(lam) = min_eta ||sum (lam_i + eta_i) v_i||^2 by coordinate
     ascent from seeded starts, and report a witness if g exceeds r.
 
-    Each start keeps, for every sign row eta of the table T = eta V, the
-    norm^2 ||(eta + lam) V||^2 and the inner products with each v_i.  A move
-    lam_i += t then scores min(norms + 2t inner_i) + t^2 ||v_i||^2, one pass
-    over the 2^n sums, and an accepted move updates both arrays.  Those
-    updates drift, so each start's value is settled from scratch at its end
-    by brute force over all 2^n assignments: reported g values are exact
-    and absence of a witness is evidence, not proof.  Start points mix the
-    zonotope centre, uniform coefficients, and points inside random
-    d-dimensional sub-parallelotopes (the regions that cover the zonotope).
+    Each start builds the (d, 2^n) table of every (eta + lam) V as head +
+    lam V + tail of ``sign_columns`` split tables, and keeps each sum's
+    norm^2 (summed over the components in index order) and inner products
+    with each v_i.  A move lam_i += t then scores min(norms + 2t inner_i) +
+    t^2 ||v_i||^2, one pass over the 2^n sums, and an accepted move updates
+    both arrays.  Those updates drift, so each start's value is settled on
+    the table rebuilt at its final lam: reported g values are exact over all
+    2^n assignments, and absence of a witness is evidence, not proof.  Start
+    points mix the zonotope centre, uniform coefficients, and points inside
+    random d-dimensional sub-parallelotopes (the regions that cover the zonotope).
     Raises TooLarge when the tables would pass FALSIFIER_BYTES.
     """
     n, d = config.n, config.dim
@@ -641,10 +640,9 @@ def approximation_falsifier(
     split = (n + 1) // 2
     head, tail = sign_columns(rows[:split]), sign_columns(rows[split:])
 
-    def g(lam: np.ndarray) -> float:
-        return min(float(ns.min()) for ns in combine(head + (lam @ rows)[:, None], tail))
+    def table(lam: np.ndarray) -> np.ndarray:  # (d, 2^n): every signed sum plus lam V
+        return ((head + (lam @ rows)[:, None])[:, :, None] + tail[:, None, :]).reshape(d, -1)
 
-    table = sign_table(rows)
     gram = rows @ rows.T
     columns = gram[:, :, None]  # columns[i] is <v_i, v_j> as an (n, 1) column
     diagonal = gram.diagonal().tolist()
@@ -661,10 +659,11 @@ def approximation_falsifier(
             lam = (2.0 * rng.integers(0, 2, n) - 1.0).astype(float)
             free = rng.choice(n, size=min(d, n), replace=False)
             lam[free] = rng.uniform(-1.0, 1.0, len(free))
-        value = g(lam)
-        shifted = table + lam @ rows
-        norms = np.vecdot(shifted, shifted)
-        inner = rows @ shifted.T  # inner[i] holds <v_i, s> for every sum s
+        shifted = table(lam)
+        inner = rows @ shifted  # inner[i] holds <v_i, s> for every sum s
+        norms = np.square(shifted, out=shifted).sum(axis=0)  # over components in index order
+        value = float(norms.min())
+        del shifted
         scored, kept = np.empty_like(norms), np.empty_like(norms)
         for step in _ASCENT_LADDER:
             for _ in range(_MAX_SWEEPS_PER_STEP):
@@ -695,7 +694,8 @@ def approximation_falsifier(
                         lam[i] = base
                 if not improved:
                     break
-        value = g(lam)  # the table drifts; settle the start from scratch
+        del norms, inner, scored, kept  # they drift; settle the start on a rebuilt table
+        value = float((table(lam) ** 2).sum(axis=0).min())
         if value > best_val:
             best_val = value
             best_lam = lam.copy()

@@ -27,6 +27,7 @@ raises AmbiguousClassification when some sum's exact norm^2 lies within
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -132,7 +133,8 @@ class VectorConfig:
             else:
                 if not norm <= 1.0 + self.norm_tolerance:
                     raise NormViolation(i, norm, f"vector {i} has norm {norm!r} > 1")
-        object.__setattr__(self, "_floats", np.array(self.vectors, dtype=float))
+        floats = np.fromiter(itertools.chain.from_iterable(self.vectors), float, self.n * self.dim)
+        object.__setattr__(self, "_floats", floats.reshape(self.n, self.dim))
         self._floats.flags.writeable = False
 
     def __reduce__(self):  # unpickling validates again and rebuilds _floats
@@ -213,25 +215,27 @@ def signed_sum(config: VectorConfig, signs: SignAssignment, policy: PrecisionPol
 
 @functools.cache
 def _sign_matrix(k: int) -> np.ndarray:
-    """(k, 2^k) signs in the doubling's order: [t, m] is -1 iff bit t of m is set."""
-    signs = 1.0 - 2.0 * (np.arange(1 << k) >> np.arange(k)[:, None] & 1)
+    """(k, 2^k) int8 signs in the doubling's order: [t, m] is -1 iff bit t of m is set."""
+    signs = (1 - 2 * (np.arange(1 << k) >> np.arange(k)[:, None] & 1)).astype(np.int8)
     signs.flags.writeable = False  # one array for every caller
     return signs
 
 
 def sign_columns(rows: np.ndarray) -> np.ndarray:
-    """``sign_table(rows)`` as a new component-major (d, 2^k) array: one
-    sequential add.accumulate over cached signs sums the first min(k, 6) terms
-    in the doubling's order (last row first; six bound its transient), and the
-    other rows double in place.  eta * v is exact, x + (-v) is x - v, and +0.0,
-    the zero row, turns an all-(-0.0) sum into +0.0: the doubling's bits."""
+    """All 2^k signed sums of the k rows, a new component-major (d, 2^k) array
+    of ``rows.dtype`` (exact on Python ints): column m has eta_i = -1 iff bit
+    k-1-i of m is set.  One sequential add.accumulate over cached int8 signs
+    sums the first min(k, 6) terms in the doubling's order (last row first;
+    six bound its transient), and the other rows double in place.  eta * v is
+    exact, x + (-v) is x - v, and the zero row turns an all-(-0.0) sum into
+    +0.0: the doubling's bits."""
     k, d = rows.shape
     j = min(k, 6)
     terms = _sign_matrix(j)[:, None, :] * rows[::-1][:j, :, None]
-    table = np.empty((d, 1 << k))
+    table = np.empty((d, 1 << k), dtype=rows.dtype)
     size = 1 << j
     last = np.add.accumulate(terms, out=terms)[-1:]  # empty when k = 0
-    np.add.reduce(last, axis=0, initial=0.0, out=table[:, :size])  # on the zero row
+    np.add.reduce(last, axis=0, initial=0, out=table[:, :size])  # on the zero row
     for row in rows[: k - j][::-1, :, None]:
         np.subtract(table[:, :size], row, out=table[:, size : 2 * size])
         table[:, :size] += row
@@ -239,36 +243,20 @@ def sign_columns(rows: np.ndarray) -> np.ndarray:
     return table
 
 
-def sign_table(rows: np.ndarray) -> np.ndarray:
-    """All 2^k signed sums of the k rows, a C-contiguous (2^k, d) array.
-
-    Row m of the result has eta_i = -1 iff bit k-1-i of m is set, so
-    ascending m is lexicographic order with +1 before -1.
-    """
-    return np.ascontiguousarray(sign_columns(rows).T)
-
-
-def combine(head: np.ndarray, tail: np.ndarray):
-    """Yield the norm^2 of every head[:, a] + tail[:, b] in ascending index
-    a * tail.shape[1] + b, in chunks of _CHUNK sums.
-
-    Both tables are component-major (d, 2^k), as ``sign_columns`` makes
-    them; then every chunk is full unless it is the only one.
-    """
-    per_chunk = max(1, _CHUNK // tail.shape[1])
+def half_norms_sq(rows: np.ndarray):
+    """Chunks of _CHUNK norms^2 of every signed sum with eta_1 = +1 (the
+    first half) in lexicographic order: head v_1 + ``sign_columns`` of the
+    rows up to the split, tail ``sign_columns`` of the rest, and each chunk
+    of head[:, a] + tail[:, b] in ascending a * 2^k + b squared and summed
+    over the components in index order: the doubling's bits."""
+    split = (len(rows) + 1) // 2
+    head, tail = sign_columns(rows[1:split]) + rows[0][:, None], sign_columns(rows[split:])
+    per_chunk = max(1, _CHUNK // tail.shape[1])  # every chunk is full unless it is the only one
     width = min(tail.shape[1], _CHUNK)
     for a in range(0, head.shape[1], per_chunk):
         for b in range(0, tail.shape[1], width):
             sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
             yield (sums * sums).sum(axis=0).ravel()
-
-
-def half_norms_sq(rows: np.ndarray):
-    """Chunks of the norm^2 of every signed sum with eta_1 = +1 (the first half)
-    in lexicographic order, over head v_1 + ``sign_columns`` of the rows up to
-    the split and tail ``sign_columns`` of the rest: the doubling's bits."""
-    split = (len(rows) + 1) // 2
-    return combine(sign_columns(rows[1:split]) + rows[0][:, None], sign_columns(rows[split:]))
 
 
 def check_enumerable(n: int):
@@ -356,38 +344,27 @@ def _exact(x) -> Fraction:
     return Fraction(m, 1 << -low)
 
 
-def _int_table(rows: list, d: int) -> list:
-    """``sign_table`` on rows of Python ints, in the same order."""
-    table = [(0,) * d]
-    for row in reversed(rows):
-        table = ([tuple(a + x for a, x in zip(t, row)) for t in table]
-                 + [tuple(a - x for a, x in zip(t, row)) for t in table])
-    return table
-
-
 class _ExactSums:
     """Exact norm^2 of the sums of the eta_1 = +1 half, by index.
 
     Every entry is a dyadic rational, an integer times one common 2^low.
-    Each sum is then one head plus one tail of integer sign tables
-    (2^(n/2) rows each, like the float kernel's), and its norm^2 an integer
-    times ``unit`` = 2^(2 low).
+    Each sum is then one head plus one tail of ``sign_columns`` tables on
+    object arrays of those integers (2^(n/2) columns each, like the float
+    kernel's), and its norm^2 an integer times ``unit`` = 2^(2 low).
     """
 
     def __init__(self, inputs):
         ints, low = _scaled(inputs)
         self.unit = Fraction(1, 1 << -2 * low)
-        d, split = len(ints[0]), (len(ints) + 1) // 2
-        self.head = [tuple(a + x for a, x in zip(t, ints[0]))
-                     for t in _int_table(ints[1:split], d)]
-        self.tail = _int_table(ints[split:], d)
+        rows, split = np.array(ints, dtype=object), (len(ints) + 1) // 2
+        self.head = sign_columns(rows[1:split]) + rows[0][:, None]
+        self.tail = sign_columns(rows[split:])
 
     def norms_sq(self, offset: int, indices: list[int]) -> list[int]:
         """The norms^2 of the sums at offset + k for each k of ``indices``."""
-        width = len(self.tail)
-        return [sum((h + t) ** 2 for h, t in zip(self.head[(offset + k) // width],
-                                                 self.tail[(offset + k) % width]))
-                for k in indices]
+        a, b = np.divmod(np.asarray(indices, dtype=np.intp) + offset, self.tail.shape[1])
+        sums = self.head[:, a] + self.tail[:, b]
+        return (sums * sums).sum(axis=0).tolist()
 
     def floor(self, q: Fraction) -> int:
         """The largest integer norm^2 that is <= q."""

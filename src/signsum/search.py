@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorConfig, check_enumerable, min_signed_norm, sign_table
+from .core import VectorConfig, check_enumerable, min_signed_norm, sign_columns
 
 COUNTEREXAMPLE_MARGIN = 1e-6
 # Byte budget R * K * d * 2^(n-1) * 8 for a round's sums: R restarts, K proposals each.
@@ -129,7 +129,8 @@ def _min_norms(sums: np.ndarray) -> np.ndarray:
 def _restarts(spec: SearchSpec):
     """Yield each restart's (rows, trace, settled value) in restart order,
     climbing one block of restarts at a time."""
-    half = sign_table(np.eye(spec.n))[: 1 << (spec.n - 1)]
+    # C-contiguous (2^(n-1), n): BLAS's half @ rows may round by layout.
+    half = np.ascontiguousarray(sign_columns(np.eye(spec.n))[:, : 1 << (spec.n - 1)].T)
     proposal = half.shape[0] * spec.d * 8
     ahead = min(_proposals(half.shape[0]), max(1, LOCKSTEP_BYTES // proposal))
     block = max(1, LOCKSTEP_BYTES // (ahead * proposal))

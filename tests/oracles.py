@@ -9,10 +9,10 @@ eigenvalue square root instead of the SVD, the greedy oracle takes one
 vector at a time instead of one step of a batch of orders, the search
 oracle climbs one restart and one step at a time on the full sign table
 and sums each norm^2 component by component, and the
-falsifier oracle scores every candidate from scratch.  The falsifier oracle
-alone shares a library kernel: its g is core.combine over the split tables,
-the g with which the library settles each start, so that equal ascents give
-bitwise equal values.
+falsifier oracle scores every candidate from scratch.  Its g adds its own
+doubled head and tail tables and sums each norm^2 over the components in
+index order, as the library does when it settles each start, so that equal
+ascents give bitwise equal values.
 
 The bit-level oracles keep earlier forms of library kernels whose bits the
 library must still produce: ``doubling_sign_table`` and
@@ -264,7 +264,6 @@ def serial_falsifier(config, r, budget, seed):
     witness, best_start), the coefficients as a tuple and the witness as a
     tuple or None."""
     from signsum.balancing import _ASCENT_LADDER, _MAX_SWEEPS_PER_STEP
-    from signsum.core import combine
 
     n, d = config.n, config.dim
     rows = config.as_array()
@@ -273,7 +272,8 @@ def serial_falsifier(config, r, budget, seed):
     head, tail = doubling_sign_table(rows[:split]), doubling_sign_table(rows[split:])
 
     def g(lam: np.ndarray) -> float:
-        return min(float(ns.min()) for ns in combine((head + lam @ rows).T, tail.T))
+        sums = (head + lam @ rows).T[:, :, None] + tail.T[:, None, :]
+        return float((sums * sums).sum(axis=0).min())
 
     rng = np.random.default_rng(seed)
     best_val = -1.0

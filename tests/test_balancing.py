@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -801,9 +802,24 @@ class TestMaintainedTable:
             raise AssertionError("a table was built before the refusal")
 
         monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size - 1)
-        monkeypatch.setattr(balancing, "sign_table", no_table)
+        monkeypatch.setattr(balancing, "sign_columns", no_table)
         with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
             approximation_falsifier(config, 1.0, budget=1)
+
+
+    def test_peak_memory(self):
+        """The tables of one start and its settle stay within (n + d + 4)
+        arrays of 2^n floats: the n inner products, the d coordinates, the
+        norms and the two score buffers, with one to spare."""
+        n, d = 14, 3
+        config = random_unit_config(d, n, seed=1)
+        tracemalloc.start()
+        try:
+            approximation_falsifier(config, 1.0, budget=2, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (n + d + 4) * 8 << n
 
 
 class TestSoundnessAgainstOracle:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signsum import core
@@ -346,10 +346,23 @@ class TestSignTableBits:
 
     @settings(max_examples=150, deadline=None)
     @given(_bit_rows())
-    def test_sign_table_equals_doubling(self, rows):
-        table = core.sign_table(rows)
-        assert table.flags.c_contiguous and table.shape == (2 ** len(rows), rows.shape[1])
-        assert np.array_equal(_bits(table), _bits(doubling_sign_table(rows)))
+    def test_sign_columns_equal_doubling(self, rows):
+        table = core.sign_columns(rows)
+        assert table.shape == (rows.shape[1], 2 ** len(rows))
+        assert np.array_equal(_bits(table.T), _bits(doubling_sign_table(rows)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.lists(st.one_of(st.integers(-9, 9), st.integers(-2**256, 2**256)),
+                 min_size=d, max_size=d), max_size=9)).filter(len))
+    @example([[2**255 + 1, -2**256 + 3], [7, -(2**200)], [0, 2**256 - 1]])
+    def test_integer_sign_columns_are_exact_ints(self, ints):
+        """On an object array of Python ints the table is exact ints: a float
+        initial or a float sign matrix would turn it into floats."""
+        rows = np.array(ints, dtype=object)
+        table = core.sign_columns(rows)
+        assert all(type(x) is int for x in table.ravel())
+        assert table.T.tolist() == doubling_sign_table(rows).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(_bit_rows().filter(len))
@@ -364,7 +377,7 @@ class TestSignTableBits:
         rng = np.random.default_rng(k)
         rows = rng.standard_normal((k, 4))
         rows[:, 1], rows[:, 3] = 0.0, -0.0
-        assert np.array_equal(_bits(core.sign_table(rows)), _bits(doubling_sign_table(rows)))
+        assert np.array_equal(_bits(core.sign_columns(rows).T), _bits(doubling_sign_table(rows)))
         if k:
             for a, b in zip(core.half_norms_sq(rows), doubling_half_norms_sq(rows)):
                 assert np.array_equal(_bits(a), _bits(b))
@@ -383,11 +396,13 @@ class TestConfigArray:
         assert min_signed_norm(config) == expected
 
     @pytest.mark.parametrize("spec, precision", [("exponential:9", "ext:256"),
-                                                 ("tight", "ext:128"), ("random:4:7", "double")])
+                                                 ("exponential:15", "ext:256"), ("tight", "ext:128"),
+                                                 ("random:4:7", "double")])
     def test_kept_rows_are_float_of_each_entry(self, spec, precision):
         config = ConstructionSpec.from_string(spec, seed=2).build(PrecisionPolicy.parse(precision))
         want = np.array([[float(x) for x in row] for row in config.vectors])
         assert np.array_equal(_bits(config.as_array()), _bits(want))
+        assert np.array_equal(_bits(config._floats), _bits(np.array(config.vectors, dtype=float)))
 
     def test_kept_array_is_read_only(self):
         config = random_unit_config(2, 3, seed=5)
