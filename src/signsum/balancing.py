@@ -523,8 +523,12 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
     dispatches to sqrt(d - eps), eps the strongest certificate of the
     branch: no oblique pair -> the cluster bound of cluster_and_pair; an
     oblique pair -> the pair-first greedy bound and the projection split
-    when its preconditions hold.  Both assume unit vectors and are never
-    weaker than the theoretical floor paper_epsilon(d).
+    when its preconditions hold.  The cluster bound assumes unit vectors, and
+    neither it nor the pair-first bound on unit vectors is weaker than the
+    theoretical floor paper_epsilon(d), a theorem about unit vectors.  When
+    some vector is not a unit vector, the oblique branch evaluates the
+    pair-first bound at the norms given and certifies the prefix law over
+    the d longest vectors in place of the floor.
 
     The answer does not depend on the branch's certificates: it is the exact
     minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, and
@@ -550,19 +554,27 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         guarantee = math.sqrt(d - max(eps_floor, d - _cluster_guarantee(d, zeta)**2))
         portfolio = lambda: [cluster_and_pair(config, zeta), approximate_point(config)]
     else:
-        # Pair-first greedy: the second step achieves 2 - 2|<u, w>| exactly,
-        # each later step adds at most 1 to the squared norm; the exact
-        # minimiser can only do better.  A bound past sqrt(d) loses to the
-        # floor in max().
+        # Pair-first greedy: the second step achieves ||u||^2 + ||w||^2 -
+        # 2|<u, w>| exactly, each later step adds at most ||v_i||^2 to the
+        # squared norm; the exact minimiser can only do better.  For unit
+        # vectors that is n - 2|<u, w>|, and a bound past sqrt(d) loses to
+        # the floor in max().  The floor is a theorem about unit vectors;
+        # other norms have the prefix law over the d longest vectors.
         rows = config.as_array()
         iu, iw = pair = scan[1]
         case = "oblique"
-        certificates = [eps_floor, d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
+        squares = np.vecdot(rows, rows)
+        longest, inner = float(squares.max()), abs(float(rows[iu] @ rows[iw]))
+        if longest <= 1.0 + 2e-9 and float(squares.min()) >= 1.0 - 2e-9:
+            certificates = [eps_floor, d - (n - 2.0 * inner)]
+        else:
+            certificates = [d - (float(squares.sum()) - 2.0 * inner),
+                            d - _approximation_bound(rows) ** 2]
         splits = []
         # The split's plane basis takes a unit pair, and its bound vectors
         # of norm at most 1.
         if (d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw])
-                and float(np.vecdot(rows, rows).max()) <= 1.0 + 2e-9):
+                and longest <= 1.0 + 2e-9):
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)

@@ -66,51 +66,28 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-@dataclasses.dataclass(frozen=True)
-class RunManifest:
+def _manifest(args, argv, input_path: str | None = None) -> dict:
     """Reproducibility record embedded in every emitted result file.
 
     Rerunning the recorded command reproduces integer outputs exactly and
     real-valued outputs within 1e-12 (the timestamp is metadata, not input).
     """
-
-    command: tuple[str, ...]
-    seed: int | None
-    precision: str
-    version: str
-    timestamp_utc: str
-    input_sha256: str | None
-
-    @classmethod
-    def capture(cls, args, argv, input_path: str | None = None) -> "RunManifest":
-        return cls(
-            command=("signsum", *argv),
-            seed=getattr(args, "seed", None),
-            precision=_policy(args).spec_string(),
-            version=__version__,
-            timestamp_utc=datetime.datetime.now(datetime.timezone.utc)
-            .replace(microsecond=0)
-            .isoformat(),
-            input_sha256=_sha256(input_path) if input_path else None,
-        )
-
-    def to_obj(self) -> dict:
-        obj = dataclasses.asdict(self)
-        obj["command"] = list(self.command)
-        return obj
+    return {
+        "command": ["signsum", *argv],
+        "seed": getattr(args, "seed", None),
+        "precision": _policy(args).spec_string(),
+        "version": __version__,
+        "timestamp_utc": datetime.datetime.now(datetime.timezone.utc)
+        .replace(microsecond=0)
+        .isoformat(),
+        "input_sha256": _sha256(input_path) if input_path else None,
+    }
 
 
-def _manifest(args, argv, input_path: str | None = None) -> dict:
-    return RunManifest.capture(args, argv, input_path).to_obj()
-
-
-def _emit_json(args, payload: dict):
-    text = json.dumps(payload, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit_result(args, argv, result: dict, input_path: str | None = None):
+    """Write {"manifest", "result"} to --out, or to stdout without it."""
+    jsonio.write_json({"manifest": _manifest(args, argv, input_path), "result": result},
+                      args.out)
 
 
 def _emit_rows(args, header: list[str], rows: list[list]):
@@ -124,7 +101,7 @@ def _emit_rows(args, header: list[str], rows: list[list]):
             if args.out:
                 target.close()
     else:
-        _emit_json(args, {"columns": header, "rows": rows})
+        jsonio.write_json({"columns": header, "rows": rows}, args.out)
 
 
 def _load_input(args, policy: PrecisionPolicy):
@@ -139,11 +116,7 @@ def cmd_enumerate(args, argv) -> int:
     policy = _policy(args)
     config, input_path = _load_input(args, policy)
     report = enumerate_signed_sums(config, args.r, policy=policy)
-    payload = {
-        "manifest": _manifest(args, argv, input_path),
-        "result": jsonio.report_to_obj(report, policy),
-    }
-    _emit_json(args, payload)
+    _emit_result(args, argv, jsonio.report_to_obj(report, policy), input_path)
     print(
         f"hits {report.hits}/{report.total}  probability {report.probability}  "
         f"min_norm {float(report.min_norm):.12g}  margin {report.margin:.6g}",
@@ -155,7 +128,7 @@ def cmd_enumerate(args, argv) -> int:
 def cmd_construct(args, argv) -> int:
     policy = _policy(args)
     config = ConstructionSpec.from_string(args.kind, seed=args.seed).build(policy)
-    _emit_json(args, jsonio.config_to_obj(config, policy))
+    jsonio.write_json(jsonio.config_to_obj(config, policy), args.out)
     return EXIT_OK
 
 
@@ -192,11 +165,7 @@ def cmd_balance(args, argv) -> int:
         report = balancing.cluster_and_pair(config, zeta=args.zeta)
     else:  # parity, auto
         report = balancing.parity_balance(config, zeta=args.zeta, seed=args.seed)
-    payload = {
-        "manifest": _manifest(args, argv, input_path),
-        "result": jsonio.balance_to_obj(report),
-    }
-    _emit_json(args, payload)
+    _emit_result(args, argv, jsonio.balance_to_obj(report), input_path)
     print(
         f"{report.algorithm}: achieved {report.achieved_norm:.12g} "
         f"(guarantee {report.guarantee:.12g})",
@@ -211,11 +180,7 @@ def cmd_falsify(args, argv) -> int:
     result = balancing.approximation_falsifier(
         config, args.r, budget=args.budget, seed=args.seed
     )
-    payload = {
-        "manifest": _manifest(args, argv, input_path),
-        "result": jsonio.falsifier_to_obj(result),
-    }
-    _emit_json(args, payload)
+    _emit_result(args, argv, jsonio.falsifier_to_obj(result), input_path)
     verdict = "witness" if result.witness is not None else "none"
     print(f"falsifier: {verdict} (best g = {result.best_value:.12g})", file=sys.stderr)
     return EXIT_OK
@@ -233,27 +198,17 @@ def cmd_search(args, argv) -> int:
         target=args.target,
     )
     result = search_mod.maximize_min_norm(spec)
-    payload = {
-        "manifest": _manifest(args, argv),
-        "result": jsonio.search_to_obj(result),
-    }
-    _emit_json(args, payload)
+    _emit_result(args, argv, jsonio.search_to_obj(result))
     if result.counterexample_candidate:
         path = (args.out or "search") + ".counterexample.json"
         radius = math.sqrt(spec.d - 1) + search_mod.COUNTEREXAMPLE_MARGIN
         report = enumerate_signed_sums(result.best_config, radius)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "manifest": _manifest(args, argv),
-                    "config": jsonio.config_to_obj(result.best_config),
-                    "enumeration_radius": radius,
-                    "enumeration": jsonio.report_to_obj(report),
-                },
-                fh,
-                indent=2,
-            )
-            fh.write("\n")
+        jsonio.write_json({
+            "manifest": _manifest(args, argv),
+            "config": jsonio.config_to_obj(result.best_config),
+            "enumeration_radius": radius,
+            "enumeration": jsonio.report_to_obj(report),
+        }, path)
         print(f"COUNTEREXAMPLE-CANDIDATE written to {path}", file=sys.stderr)
     print(f"search best_value {result.best_value:.12g}", file=sys.stderr)
     return EXIT_OK

@@ -89,10 +89,19 @@ def load_config(path: str, policy: PrecisionPolicy | None = None) -> VectorConfi
         return config_from_obj(load_json(fh), policy)
 
 
+def write_json(obj, path: str | None = None):
+    """Write obj as JSON indented by 2 with a trailing newline, to path or,
+    without one, to stdout: the one writer of every file signsum emits."""
+    text = json.dumps(obj, indent=2) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def save_config(config: VectorConfig, path: str, policy: PrecisionPolicy | None = None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_obj(config, policy), fh, indent=2)
-        fh.write("\n")
+    write_json(config_to_obj(config, policy), path)
 
 
 def report_to_obj(report: EnumerationReport, policy: PrecisionPolicy | None = None) -> dict:

@@ -13,8 +13,9 @@ then per WINDOW steps the picks, the noise and a tie coin per step.  A
 rejected proposal changes nothing, so a block's restarts climb in
 speculative rounds: each scores its next K proposals in one (R, K, d,
 2^(n-1)) array and jumps past the first one accepted.  K falls as the
-table grows and R fits LOCKSTEP_BYTES; no result depends on either.  Restarts
-merge deterministically; the best value is re-verified by exact enumeration.
+table grows and R restarts fit their sums and window draws in
+LOCKSTEP_BYTES; no result depends on either.  Restarts merge
+deterministically; the best value is re-verified by exact enumeration.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 from .core import VectorConfig, check_enumerable, min_signed_norm, sign_columns
 
 COUNTEREXAMPLE_MARGIN = 1e-6
-# Byte budget R * K * d * 2^(n-1) * 8 for a round's sums: R restarts, K proposals each.
+# Byte budget for a block of R restarts: a round's R * K * d * 2^(n-1) * 8
+# bytes of sums, K proposals each, plus every restart's window draws.
 LOCKSTEP_BYTES = 1 << 20
 # Steps whose picks, noise and coins a restart draws at once.
 WINDOW = 256
@@ -133,7 +135,10 @@ def _restarts(spec: SearchSpec):
     half = np.ascontiguousarray(sign_columns(np.eye(spec.n))[:, : 1 << (spec.n - 1)].T)
     proposal = half.shape[0] * spec.d * 8
     ahead = min(_proposals(half.shape[0]), max(1, LOCKSTEP_BYTES // proposal))
-    block = max(1, LOCKSTEP_BYTES // (ahead * proposal))
+    # A restart's window holds 8 + 8d + 1 bytes of picks, noise and coins per
+    # step, twice while they are stacked, and 8d bytes of kicks.
+    window = WINDOW * (18 + 24 * spec.d)
+    block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window))
     for first in range(0, spec.restarts, block):
         yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts)), ahead))
 

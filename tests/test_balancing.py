@@ -512,6 +512,30 @@ class TestParityBalance:
         report = parity_balance(config)
         assert report.case_taken == "oblique"
         assert report.achieved_norm <= report.guarantee
+        # Pair-first and the prefix law over the 3 longest both give
+        # 3 * 1.05^2; the unit-vector formula's 1.7022 is unproven here.
+        assert report.guarantee == pytest.approx(math.sqrt(3 * 1.05**2), abs=1e-15)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_oblique_certificates_at_the_given_norms(self, seed):
+        """Beck inputs with norms in [0.5, 1.1] that take the oblique branch
+        certify what their norms prove: the guarantee is the lesser of the
+        pair-first sum ||u||^2 + ||w||^2 - 2|<u, w>| + sum_others ||v_i||^2
+        and the prefix law over the d longest vectors, recomputed here."""
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(3, 5))
+        n = d + int(rng.choice([1, 3]))
+        rows = random_unit_config(d, n, seed=seed).as_array()
+        rows *= rng.uniform(0.5, 1.1, size=(n, 1))
+        config = validate_config(rows, mode="beck", tolerance=0.1)
+        report = parity_balance(config)
+        assert report.case_taken == "oblique"
+        iu, iw = detect_oblique(config, default_zeta(d) ** 0.25)
+        squares = [float(row @ row) for row in rows]
+        pair_first = sum(squares) - 2 * abs(float(rows[iu] @ rows[iw]))
+        prefix = sum(sorted(squares)[-d:])
+        assert report.guarantee == pytest.approx(math.sqrt(min(pair_first, prefix)), rel=1e-12)
+        assert report.achieved_norm <= report.guarantee
 
     def test_beck_sweep_beyond_unit_norm(self):
         """200 random mismatched-parity configurations (d 2-3, n = d + 1 or

@@ -294,6 +294,16 @@ class TestFlags:
         for line in lines:
             build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
+    def test_readme_quick_start_prints_its_comments(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library quick start", 1)[1].split("```python", 1)[1]
+        exec(compile(block.split("```", 1)[0], "README.md", "exec"), {})
+        hits, probability, margin, extended, balance = capsys.readouterr().out.splitlines()
+        assert (hits, probability, extended) == ("32 512", "1/16", "256")
+        assert float(margin) == pytest.approx(7.8e-11, rel=1e-2)
+        achieved, _, guarantee = balance.split()
+        assert float(achieved) <= float(guarantee)
+
 
 class TestEnumerateCommand:
     def test_orthonormal_probability_one(self, workdir):
@@ -345,18 +355,17 @@ class TestEnumerateCommand:
         assert len(manifest["input_sha256"]) == 64
 
     def test_manifest_type_fields(self):
-        from signsum.cli import RunManifest, build_parser
+        from signsum.cli import _manifest, build_parser
 
         args = build_parser().parse_args(["enumerate", "--construct", "random:2:3",
                                           "--r", "1", "--seed", "4"])
-        manifest = RunManifest.capture(args, ["enumerate", "--r", "1"])
-        assert manifest.command == ("signsum", "enumerate", "--r", "1")
-        assert manifest.seed == 4
-        assert manifest.precision == "double"
-        assert manifest.input_sha256 is None
-        obj = manifest.to_obj()
-        assert sorted(obj) == ["command", "input_sha256", "precision", "seed",
-                               "timestamp_utc", "version"]
+        manifest = _manifest(args, ["enumerate", "--r", "1"])
+        assert list(manifest) == ["command", "seed", "precision", "version",
+                                  "timestamp_utc", "input_sha256"]
+        assert manifest["command"] == ["signsum", "enumerate", "--r", "1"]
+        assert manifest["seed"] == 4
+        assert manifest["precision"] == "double"
+        assert manifest["input_sha256"] is None
 
     def test_interval_summary_exits_0(self, workdir, capsys):
         """The stderr summary formats interval mode's min_norm, an mpf,

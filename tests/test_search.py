@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -13,6 +14,13 @@ from signsum.search import (
 )
 
 from oracles import serial_search
+
+
+def _lockstep_bytes(per_block, d, n, ahead):
+    """The LOCKSTEP_BYTES that fits per_block restarts climbing with K = ahead:
+    each restart's share of a round's sums, plus its window's picks, noise
+    and coins (twice while stacked) and kicks."""
+    return per_block * (ahead * d * 2 ** (n - 1) * 8 + search.WINDOW * (18 + 24 * d))
 
 
 class TestSpec:
@@ -132,14 +140,29 @@ class TestLockstep:
     @pytest.mark.parametrize("per_block", [0, 1, 3])
     def test_restarts_span_several_blocks(self, monkeypatch, per_block):
         d, n = 3, 5
-        sums = 2 ** (n - 1)
         monkeypatch.setattr(search, "LOCKSTEP_BYTES",
-                            per_block * search._proposals(sums) * sums * d * 8)
+                            _lockstep_bytes(per_block, d, n, search._proposals(2 ** (n - 1))))
         self._assert_matches(SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12))
         # A target first beaten by restart 3, the first of the second block of 3.
         result = self._assert_matches(
             SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12, target=1.336))
         assert result.exceeded_target and 1 < len(result.history) < 8
+
+    def test_block_memory_within_lockstep_budget(self):
+        """A block's restarts share LOCKSTEP_BYTES between their round's sums
+        and their window draws.  A round scores its sums through two more
+        arrays as large, the update's product and the squares, so the peak
+        stays within 3 * LOCKSTEP_BYTES however many restarts run.  Here the
+        sums alone would fit 170 restarts of d = 3, n = 4 in a block, and
+        their windows would hold another 3.7 MiB."""
+        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))  # caches fill outside
+        tracemalloc.start()
+        try:
+            maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * search.LOCKSTEP_BYTES
 
 
 class TestSpeculation:
@@ -166,8 +189,8 @@ class TestSpeculation:
             climbs.append((len(restarts), k)) or climb(spec, half, restarts, k)))
         monkeypatch.setattr(search, "_proposals", lambda sums: ahead)
         for spec, want in zip(self.SPECS, expected):
-            proposal = spec.d * 2 ** (spec.n - 1) * 8
-            monkeypatch.setattr(search, "LOCKSTEP_BYTES", per_block * ahead * proposal)
+            monkeypatch.setattr(search, "LOCKSTEP_BYTES",
+                                _lockstep_bytes(per_block, spec.d, spec.n, ahead))
             climbs.clear()
             assert maximize_min_norm(spec) == want
             TestLockstep._assert_matches(spec)
