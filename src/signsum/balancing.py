@@ -507,6 +507,24 @@ def projection_split(
                    math.sqrt(d - 2 + plane_budget**2), "oblique")
 
 
+def _split_refuted(gram: np.ndarray, pair: tuple[int, int], zeta: float, d: int) -> bool:
+    """Whether the Gram matrix G proves that projection_split(pair=pair,
+    zeta=zeta) raises, under parity_balance's premises: some other |G[v, u]|
+    or |G[v, w]| tops its bound 2 zeta^(3/4) + 1e-12 by the margin
+    (1e-8 + 3e-15 d) / D^2, D = 1 - (1 - alpha)^2, as |P v| >= |<v, u>| / ||u||.
+    Proof, eps = 2^-53, c = 1.01 d eps: each dot product (G's, the split's)
+    errs by <= c, so the split's det = 1 - g^2 >= D - 4c, g its <u, w> (the
+    scan took |G[u, w]| < 1 - alpha).  Its a u + b w has (a u + b w) . u = <v, u>
+    + a (||u||^2 - 1) + b (<u, w> - g), |a|, |b| <= 2.01 / det, and is_unit
+    leaves | ||u||^2 - 1 | <= 2.1e-9 + 4 d eps; rounding moves a u + b w by
+    <= 60 eps / det^2 and its norm by a factor 1 - 2c.  With D <= 1, these and
+    ||u|| <= 1 + 2.1e-9 sum to the margin; where D < 8c it exceeds 2 > |G|."""
+    limit = 2.0 * zeta**0.75 + 1e-12 + (1e-8 + 3e-15 * d) / (1.0 - (1.0 - zeta**0.25) ** 2) ** 2
+    inner = np.abs(gram[list(pair)])
+    inner[:, list(pair)] = 0.0
+    return bool((inner > limit).any())
+
+
 # Worst-case guarantee for unit vectors regardless of structure; far from
 # optimal but dimension-dependent and strictly positive.
 def paper_epsilon(d: int) -> float:
@@ -574,7 +592,7 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         # The split's plane basis takes a unit pair, and its bound vectors
         # of norm at most 1.
         if (d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw])
-                and longest <= 1.0 + 2e-9):
+                and longest <= 1.0 + 2e-9 and not _split_refuted(scan[0], pair, zeta, d)):
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)

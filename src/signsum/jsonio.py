@@ -41,9 +41,9 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
         with policy.active():
             for row in obj["vectors"]:
                 # A string would pass as its characters, and true as 1.0.
-                if not isinstance(row, list) or any(type(x) is bool for x in row):
+                if not isinstance(row, list) or bool in map(type, row):
                     raise TypeError
-                rows.append(tuple(policy.scalar(x) for x in row))
+                rows.append(tuple(map(policy.scalar, row)))
         dim, tolerance = obj["dim"], obj.get("norm_tolerance", 1e-9)
         if type(dim) is not int or type(tolerance) is bool:  # int(2.7) would read as 2
             raise TypeError

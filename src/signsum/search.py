@@ -13,7 +13,7 @@ then per WINDOW steps the picks, the noise and a tie coin per step.  A
 rejected proposal changes nothing, so a block's restarts climb in
 speculative rounds: each scores its next K proposals in one (R, K, d,
 2^(n-1)) array and jumps past the first one accepted.  K falls as the
-table grows and R restarts fit their sums and window draws in
+table grows and R restarts fit their sums, squares and window draws in
 LOCKSTEP_BYTES; no result depends on either.  Restarts merge
 deterministically; the best value is re-verified by exact enumeration.
 """
@@ -29,7 +29,8 @@ from .core import VectorConfig, check_enumerable, min_signed_norm, sign_columns
 
 COUNTEREXAMPLE_MARGIN = 1e-6
 # Byte budget for a block of R restarts: a round's R * K * d * 2^(n-1) * 8
-# bytes of sums, K proposals each, plus every restart's window draws.
+# bytes of sums, K proposals each, and as many of squares, plus every
+# restart's window draws.
 LOCKSTEP_BYTES = 1 << 20
 # Steps whose picks, noise and coins a restart draws at once.
 WINDOW = 256
@@ -133,10 +134,11 @@ def _restarts(spec: SearchSpec):
     climbing one block of restarts at a time."""
     # C-contiguous (2^(n-1), n): BLAS's half @ rows may round by layout.
     half = np.ascontiguousarray(sign_columns(np.eye(spec.n))[:, : 1 << (spec.n - 1)].T)
-    proposal = half.shape[0] * spec.d * 8
+    proposal = 2 * half.shape[0] * spec.d * 8  # its sums and their squares
     ahead = min(_proposals(half.shape[0]), max(1, LOCKSTEP_BYTES // proposal))
     # A restart's window holds 8 + 8d + 1 bytes of picks, noise and coins per
-    # step, twice while they are stacked, and 8d bytes of kicks.
+    # step, twice while they are stacked, and 8d bytes of kicks (in the noise's
+    # place: they leave room for a round's smaller arrays).
     window = WINDOW * (18 + 24 * spec.d)
     block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window))
     for first in range(0, spec.restarts, block):
@@ -164,11 +166,11 @@ def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):
     step = spec.step_init
     for start in range(0, spec.steps, WINDOW):
         width = min(WINDOW, spec.steps - start)
-        draws = [(rng.integers(spec.n, size=width), rng.standard_normal((width, spec.d)),
-                  rng.random(width) < 0.5) for rng in rngs]  # a sideways move needs heads
-        picks, noise, heads = map(np.array, zip(*draws))
+        picks, kicks, heads = map(np.array, zip(*[
+            (rng.integers(spec.n, size=width), rng.standard_normal((width, spec.d)),
+             rng.random(width) < 0.5) for rng in rngs]))  # a sideways move needs heads
         sizes = np.multiply.accumulate(np.r_[step, np.full(width - 1, spec.step_decay)])
-        step, kicks = sizes[-1] * spec.step_decay, sizes[:, None] * noise
+        step, kicks = sizes[-1] * spec.step_decay, np.multiply(kicks, sizes[:, None], out=kicks)
         live, cursor = np.arange(len(rngs)), np.zeros(len(rngs), dtype=np.intp)
         while live.size:
             who, at = live[:, None], cursor[:, None] + offsets
@@ -179,7 +181,8 @@ def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):
             moved = old + kicks[who, at]
             # vecdot rounds as the 1-D norm does; norm(axis=-1) and einsum do not.
             moved /= np.sqrt(np.vecdot(moved, moved))[..., None]
-            new_sums = sums[who] + columns[picked][:, :, None, :] * (moved - old)[..., None]
+            new_sums = columns[picked][:, :, None, :] * (moved - old)[..., None]
+            new_sums += sums[who]  # + commutes: the bits of sums + update
             new = _min_norms(new_sums)
             current = values[who]
             accept = valid & ((new > current) | ((new == current) & heads[who, at]))
@@ -194,6 +197,7 @@ def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):
             sums[won] = new_sums[taken, first]
             values[won] = gained
             live, cursor = live[cursor < width], cursor[cursor < width]
+        del picks, kicks, heads  # the window goes before the next one is drawn
     # Incremental updates drift; settle each restart's value from scratch
     # (the trace keeps the incremental values so it stays nondecreasing).
     return rows, traces, _min_norms((half @ rows).transpose(0, 2, 1)).tolist()

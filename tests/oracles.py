@@ -16,9 +16,10 @@ ascents give bitwise equal values.
 
 The bit-level oracles keep earlier forms of library kernels whose bits the
 library must still produce: ``doubling_sign_table`` and
-``doubling_half_norms_sq`` build every table by concatenated doubling, and
+``doubling_half_norms_sq`` build every table by concatenated doubling,
 ``scalar_eliminate_rows`` runs elimination on numpy scalars, clipping every
-coefficient each round.
+coefficient each round, and ``loop_validation`` checks a configuration's
+rows one at a time.
 """
 
 import itertools
@@ -26,7 +27,27 @@ import math
 
 import numpy as np
 
+from signsum.errors import DimensionMismatch, NormViolation
+
 _CHUNK = 1 << 10
+
+
+def loop_validation(vectors, dim, mode, tolerance):
+    """VectorConfig's dimension and norm checks as a per-row loop: the first
+    bad row in index order raises, its norm Python's sum of float(x) * float(x)
+    in component order, then ** 0.5."""
+    for i, row in enumerate(vectors):
+        if len(row) != dim:
+            raise DimensionMismatch(
+                f"vector {i} has dimension {len(row)}, expected {dim}"
+            )
+        norm = float(sum(float(x) * float(x) for x in row)) ** 0.5
+        if mode == "strict":
+            if not abs(norm - 1.0) <= tolerance:
+                raise NormViolation(i, norm)
+        else:
+            if not norm <= 1.0 + tolerance:
+                raise NormViolation(i, norm, f"vector {i} has norm {norm!r} > 1")
 
 
 def doubling_sign_table(rows):

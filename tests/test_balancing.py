@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -872,3 +873,93 @@ class TestSoundnessAgainstOracle:
     def test_report_invariant_rejects_nan(self):
         with pytest.raises(ValueError):
             BalanceReport("bogus", SignAssignment((1,)), achieved_norm=math.nan, guarantee=1.0)
+
+
+def _near_plane_config(d, cos, lengths, seed, scales=(1.0, 1.0)):
+    """Unit u, w with <u, w> = cos, then one unit vector per length t whose
+    projection onto span{u, w} has norm t up to rounding: along u for every
+    third one, in a random direction of the plane otherwise.  ``scales``
+    stretch u and w, within is_unit's 1e-9."""
+    rng = np.random.default_rng(seed)
+    basis = np.linalg.qr(rng.standard_normal((d, d)))[0].T
+    plane, normal = basis[:2], basis[2:]
+    rows = [plane[0], cos * plane[0] + math.sqrt(1 - cos * cos) * plane[1]]
+    for k, t in enumerate(lengths):
+        phi = 0.0 if k % 3 == 0 else rng.uniform(0.0, 2 * math.pi)
+        q = rng.standard_normal(d - 2) @ normal
+        rows.append(t * (math.cos(phi) * plane[0] + math.sin(phi) * plane[1])
+                    + math.sqrt(1 - t * t) * q / np.linalg.norm(q))
+    rows = [r / np.linalg.norm(r) for r in rows]
+    rows[0], rows[1] = rows[0] * scales[0], rows[1] * scales[1]
+    return validate_config([tuple(r.tolist()) for r in rows])
+
+
+class TestSplitPrecheck:
+    """parity_balance skips projection_split when the Gram matrix proves
+    that it raises; every report equals the one with the split always tried."""
+
+    @staticmethod
+    def _lengths(d):
+        zeta = default_zeta(d)
+        bound = 2.0 * zeta**0.75
+        alpha = zeta**0.25
+        limit = bound + 1e-12 + (1e-8 + 3e-15 * d) / (1.0 - (1.0 - alpha) ** 2) ** 2
+        odd = [[0.5 * bound], [bound - 1e-12], [bound], [bound + 1e-12], [bound + 2e-12],
+               [limit - 1e-12], [limit], [limit + 1e-12], [0.4]]
+        even = [[0.3 * bound, bound - 1e-12], [bound + 1e-12, bound - 2e-12],
+                [bound, 0.1 * bound], [limit + 1e-12, 0.2 * bound], [limit - 1e-12, limit],
+                [0.9 * bound, 0.4], [limit, bound]]
+        return even if d % 2 else odd  # n = len + 2 has the other parity
+
+    def _cases(self):
+        for d in (3, 4, 5):
+            for lengths in self._lengths(d):
+                for seed, cos in enumerate((0.3, -0.6, 0.8)):
+                    yield d, _near_plane_config(d, cos, lengths, seed)
+        # u and w at is_unit's edge: the split's length and |G[v, u]| then
+        # differ by about |a| (||u||^2 - 1), past 1e-12, so a precheck with
+        # no margin would skip splits that succeed.
+        bound = 2.0 * default_zeta(3) ** 0.75
+        for cos, su, sw, k in itertools.product((0.3, 0.6), (1 + 0.99e-9, 1 - 0.99e-9),
+                                                (1 + 0.99e-9, 1 - 0.99e-9), range(0, 60, 4)):
+            lengths = [bound + 1e-12 + k * 2e-13, 0.1 * bound]
+            yield 3, _near_plane_config(3, cos, lengths, 1, (su, sw))
+
+    def test_reports_equal_with_the_precheck_patched_out(self, monkeypatch):
+        splits, refuted, taken = [], 0, 0
+        split = balancing.projection_split
+        monkeypatch.setattr(balancing, "projection_split",
+                            lambda *args, **kw: splits.append(1) or split(*args, **kw))
+        for d, config in self._cases():
+            zeta = default_zeta(d)
+            splits.clear()
+            report = parity_balance(config)
+            assert report.case_taken == "oblique"
+            tried = bool(splits)
+            with monkeypatch.context() as m:
+                m.setattr(balancing, "_split_refuted", lambda *args: False)
+                always = parity_balance(validate_config(config.vectors))
+                assert always == report and always.guarantee.hex() == report.guarantee.hex()
+            if not tried:
+                refuted += 1
+                with pytest.raises((ProjectionTooLong, NotOblique)):
+                    split(config, pair=(0, 1), zeta=zeta)
+            else:
+                try:
+                    split(config, pair=(0, 1), zeta=zeta)
+                    taken += 1
+                except ProjectionTooLong:
+                    pass
+        assert refuted >= 20 and taken >= 20  # both sides of the bound are covered
+
+    def test_random_oblique_configs_skip_the_split(self, monkeypatch):
+        """The benchmark's oblique jobs: random unit vectors, whose others
+        lie far from the pair's plane, never reach projection_split."""
+        calls = []
+        monkeypatch.setattr(balancing, "projection_split",
+                            lambda *args, **kw: calls.append(1))
+        for seed in range(30):
+            d = 3 + seed % 2
+            config = random_unit_config(d, 2 * (seed % 4) + 4 + (d == 4), seed=seed)
+            assert parity_balance(config).case_taken == "oblique"
+        assert calls == []

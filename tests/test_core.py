@@ -1,4 +1,9 @@
+import copy
+import dataclasses
+import importlib.util
+import itertools
 import math
+import pathlib
 import pickle
 from fractions import Fraction
 
@@ -16,10 +21,16 @@ from signsum.core import (
     signed_sum,
     validate_config,
 )
-from signsum.constructions import ConstructionSpec, random_unit_config
+from signsum.balancing import parity_balance
+from signsum.constructions import (
+    ConstructionSpec,
+    construct_orthonormal_multiplicity,
+    random_unit_config,
+)
 from signsum.errors import DimensionMismatch, NormViolation, OutOfRange, TooLarge
 from signsum.precision import PrecisionPolicy
 
+import oracles
 from oracles import census, doubling_half_norms_sq, doubling_sign_table
 
 
@@ -420,3 +431,174 @@ class TestConfigArray:
         assert clone == a and hash(clone) == hash(a)
         assert np.array_equal(clone.as_array(), a.as_array())
         assert not clone._floats.flags.writeable
+
+
+def _outcome(build):
+    """None if build() accepts, else the raised error's type, message, index and norm bits."""
+    try:
+        build()
+    except (DimensionMismatch, NormViolation) as exc:
+        norm = repr(getattr(exc, "norm", None))  # repr keeps nan comparable
+        return type(exc), str(exc), getattr(exc, "index", None), norm
+    return None
+
+
+@st.composite
+def _validation_cases(draw):
+    """Rows near or off unit norm, some of them mpf, a tolerance at some row's
+    distance from the bound, +-1 ulp, and perhaps a row of another dimension
+    before or after a bad norm."""
+    mode = draw(st.sampled_from(["strict", "beck"]))
+    dim, n = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    rows = []
+    for _ in range(n):
+        row = draw(st.lists(st.floats(-1.5, 1.5, allow_nan=False), min_size=dim, max_size=dim))
+        scale = math.sqrt(sum(x * x for x in row))
+        if scale > 0 and draw(st.booleans()):
+            row = [x / scale for x in row]  # within a few ulps of 1
+        rows.append(row)
+    k = draw(st.integers(0, n - 1))
+    norm = float(sum(x * x for x in rows[k])) ** 0.5
+    gap = abs(norm - 1.0) if mode == "strict" else norm - 1.0
+    tolerance = draw(st.sampled_from([gap, math.nextafter(gap, math.inf),
+                                      math.nextafter(gap, -math.inf), 1e-9, 0.0, 0.3]))
+    tolerance = max(0.0, tolerance)
+    if draw(st.booleans()):  # mpf entries: float(x) rounds them
+        import mpmath
+        with mpmath.mp.workprec(128):
+            rows = [[mpmath.mpf(x) * (1 + mpmath.mpf(2) ** -60) if draw(st.booleans())
+                     else x for x in row] for row in rows]
+    if draw(st.booleans()):  # a bad norm, then a row of another dimension, or the reverse
+        bad = draw(st.integers(0, n))
+        rows.insert(bad, [2.0] + [0.0] * (dim - 1))
+        rows.insert(draw(st.integers(0, n + 1)), [0.5] * (dim + draw(st.sampled_from([-1, 1]))))
+    return mode, dim, tuple(map(tuple, rows)), tolerance
+
+
+class TestValidationMatchesLoop:
+    """VectorConfig's one pass over its float rows decides, raises and reports
+    exactly as the per-row loop in oracles.loop_validation."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_validation_cases())
+    @example(("strict", 2, ((2.0, 0.0), (1.0,)), 1e-9))
+    @example(("strict", 2, ((1.0,), (2.0, 0.0)), 1e-9))
+    @example(("beck", 2, ((0.6, 0.8), (2.0, 0.0), (1.0, 0.0, 0.0)), 1e-9))
+    @example(("beck", 2, ((0.6, 0.8), (1.0, 0.0, 0.0), (2.0, 0.0)), 1e-9))
+    @example(("strict", 3, ((math.nan, 0.0, 0.0), (1.0, 0.0, 0.0)), 1e-9))
+    @example(("beck", 1, ((), (1.0,)), 0.0))
+    def test_same_decision_error_and_message(self, case):
+        mode, dim, rows, tolerance = case
+        want = _outcome(lambda: oracles.loop_validation(rows, dim, mode, tolerance))
+        assert _outcome(lambda: VectorConfig(dim, rows, mode, tolerance)) == want
+
+    def test_norm_is_a_power_not_a_sqrt(self):
+        """Rows whose squared norm s has s ** 0.5 != sqrt(s), about one in 1200
+        here: every error reports the loop's norm, and sqrt's would differ."""
+        rng = np.random.default_rng(22)
+        rows = rng.standard_normal((40000, 3)) * rng.uniform(0.4, 0.8, (40000, 1))
+        picked = [row for row in map(tuple, rows.tolist())
+                  if (s := sum(x * x for x in row)) ** 0.5 != math.sqrt(s)][:24]
+        assert len(picked) >= 8
+        for row, mode in itertools.product(picked, ("strict", "beck")):
+            rows = ((0.0, 1.0, 0.0), row)
+            want = _outcome(lambda: oracles.loop_validation(rows, 3, mode, 0.0))
+            assert want is not None or mode == "beck"
+            assert _outcome(lambda: VectorConfig(3, rows, mode, 0.0)) == want
+
+    @pytest.mark.parametrize("mode", ["strict", "beck"])
+    def test_tolerance_at_each_ulp(self, mode):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            row = rng.standard_normal(5)
+            row = tuple((row / np.linalg.norm(row) * rng.uniform(0.9, 1.1)).tolist())
+            norm = float(sum(x * x for x in row)) ** 0.5
+            gap = abs(norm - 1.0) if mode == "strict" else max(0.0, norm - 1.0)
+            for tolerance in (math.nextafter(gap, -math.inf), gap, math.nextafter(gap, math.inf)):
+                tolerance = max(0.0, tolerance)
+                rows = ((1.0, 0.0, 0.0, 0.0, 0.0), row)
+                want = _outcome(lambda: oracles.loop_validation(rows, 5, mode, tolerance))
+                assert _outcome(lambda: VectorConfig(5, rows, mode, tolerance)) == want
+
+
+class TestKeptMinimiser:
+    """min_signed_norm keeps its double-mode answer on the config."""
+
+    @staticmethod
+    def _count_walks(monkeypatch):
+        modes, walk = [], core._walk
+        monkeypatch.setattr(core, "_walk", lambda config, policy, radius: (
+            modes.append(policy.mode) or walk(config, policy, radius)))
+        return modes
+
+    @pytest.mark.parametrize("d, n", [(3, 8), (4, 8), (3, 5), (3, 12)])  # oblique, fallback
+    def test_parity_balance_then_check_walks_once(self, monkeypatch, d, n):
+        config = random_unit_config(d, n, seed=40 + n)
+        modes = self._count_walks(monkeypatch)
+        report = parity_balance(config)
+        value, signs = min_signed_norm(config)
+        assert modes == ["double"]
+        assert (report.achieved_norm, report.signs) == (value, signs)
+
+    def test_clustered_branch_walks_once(self, monkeypatch):
+        config = construct_orthonormal_multiplicity(3, [2, 1, 1])
+        modes = self._count_walks(monkeypatch)
+        assert parity_balance(config).case_taken == "clustered"
+        min_signed_norm(config)
+        assert modes == ["double"]
+
+    @pytest.mark.parametrize("policy", [PrecisionPolicy.extended(128),
+                                        PrecisionPolicy.interval(64)])
+    def test_other_modes_neither_read_nor_keep(self, monkeypatch, policy):
+        config = random_unit_config(3, 6, seed=41)
+        modes = self._count_walks(monkeypatch)
+        first = min_signed_norm(config, policy)
+        assert min_signed_norm(config, policy) == first
+        assert not hasattr(config, "_minimiser")
+        min_signed_norm(config)
+        min_signed_norm(config, policy)
+        assert modes == [policy.mode, policy.mode, "double", policy.mode]
+
+    def test_copies_walk_afresh(self, monkeypatch):
+        config = random_unit_config(3, 7, seed=42)
+        kept = min_signed_norm(config)
+        copies = [config.replaced(0, config.vectors[0]), dataclasses.replace(config),
+                  pickle.loads(pickle.dumps(config)), copy.copy(config), copy.deepcopy(config)]
+        modes = self._count_walks(monkeypatch)
+        for clone in copies:
+            assert clone == config and not hasattr(clone, "_minimiser")
+            assert min_signed_norm(clone) == kept
+        assert modes == ["double"] * len(copies)
+        assert "_minimiser" not in repr(config) and hash(config) == hash(copies[0])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_kept_answer_is_a_fresh_walk_bit_for_bit(self, seed):
+        config = random_unit_config(1 + seed % 4, 2 + seed, seed=seed)
+        value, signs = min_signed_norm(config)
+        kept_value, kept_signs = min_signed_norm(config)
+        *_, fresh_value, fresh_signs = core._walk(config, PrecisionPolicy.double(), None)
+        assert kept_value.hex() == value.hex() == float(fresh_value).hex()
+        assert kept_signs == signs == fresh_signs
+
+    def test_positional_none_policy_hits(self, monkeypatch):
+        """perfbench/tracing.py wraps the min_signed_norm that balancing
+        imported and calls it with policy=None positionally."""
+        spec = importlib.util.spec_from_file_location(
+            "tracing", pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py")
+        tracing = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracing)
+        tracer = tracing.Tracer()
+        config = random_unit_config(3, 8, seed=43)
+        modes = self._count_walks(monkeypatch)
+        with tracing.core_boundary_spans(tracer):
+            parity_balance(config)
+        assert min_signed_norm(config, None) == min_signed_norm(config)
+        assert modes == ["double"]
+        assert [s[tracing.NAME] for s in tracer.spans] == ["core"]
+
+    def test_cap_is_read_at_call_time(self, monkeypatch):
+        config = random_unit_config(3, 5, seed=44)
+        min_signed_norm(config)
+        monkeypatch.setattr(core, "ENUMERATION_CAP", 4)
+        with pytest.raises(TooLarge):
+            min_signed_norm(config)

@@ -18,9 +18,9 @@ from oracles import serial_search
 
 def _lockstep_bytes(per_block, d, n, ahead):
     """The LOCKSTEP_BYTES that fits per_block restarts climbing with K = ahead:
-    each restart's share of a round's sums, plus its window's picks, noise
-    and coins (twice while stacked) and kicks."""
-    return per_block * (ahead * d * 2 ** (n - 1) * 8 + search.WINDOW * (18 + 24 * d))
+    each restart's share of a round's sums and of their squares, plus its
+    window's picks, noise and coins (twice while stacked) and kicks."""
+    return per_block * (2 * ahead * d * 2 ** (n - 1) * 8 + search.WINDOW * (18 + 24 * d))
 
 
 class TestSpec:
@@ -163,6 +163,28 @@ class TestLockstep:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * search.LOCKSTEP_BYTES
+
+    def test_block_peak_within_lockstep_bytes(self):
+        """A block's transient memory fits LOCKSTEP_BYTES.  The block size
+        counts the two (R, K, d, 2^(n-1)) arrays a round builds, its sums (the
+        update is added in place) and their squares, and 18 + 24d bytes a step
+        of each restart's window: its picks, noise and coins take 2 (9 + 8d)
+        while each restart's and the stacked copy coexist, then the kicks
+        overwrite the noise, so while rounds run the window holds 9 + 8d and
+        leaves 9 + 16d bytes a step (R * 14592 here) for the round's
+        (R, K, 2^(n-1)) and (R, K, d) arrays.  The previous window is freed
+        before the next is drawn.  The allowance is what the call leaves
+        allocated, the result with its 455 traces, which grows with the
+        restarts and not with a block."""
+        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))  # caches fill outside
+        tracemalloc.start()
+        try:
+            result = maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.history) == 455
+        assert peak <= search.LOCKSTEP_BYTES + kept
 
 
 class TestSpeculation:
