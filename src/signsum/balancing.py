@@ -43,6 +43,7 @@ from .core import (
     sign_columns,
 )
 from .errors import (
+    DegeneratePlane,
     DimensionMismatch,
     NotOblique,
     NumericalNullspaceFailure,
@@ -597,8 +598,8 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)
                 splits.append(split)
-            except (ProjectionTooLong, NotOblique):
-                pass
+            except (ProjectionTooLong, NotOblique, DegeneratePlane):
+                pass  # the split is an optional certificate
         guarantee = math.sqrt(d - max(certificates))
 
         def portfolio():

@@ -36,6 +36,8 @@ def config_to_obj(config: VectorConfig, policy: PrecisionPolicy | None = None) -
 def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorConfig:
     """Inverse of config_to_obj; raises ValueError when obj lacks its shape."""
     policy = policy or PrecisionPolicy.double()
+    # policy.scalar is float in double mode, but tests the mode on each call.
+    scalar = float if policy.mode == "double" else policy.scalar
     try:
         rows = []
         with policy.active():
@@ -43,7 +45,7 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
                 # A string would pass as its characters, and true as 1.0.
                 if not isinstance(row, list) or bool in map(type, row):
                     raise TypeError
-                rows.append(tuple(map(policy.scalar, row)))
+                rows.append(tuple(map(scalar, row)))
         dim, tolerance = obj["dim"], obj.get("norm_tolerance", 1e-9)
         if type(dim) is not int or type(tolerance) is bool:  # int(2.7) would read as 2
             raise TypeError

@@ -12,14 +12,18 @@ components in index order.  Each restart's seeded generator draws its rows,
 then per WINDOW steps the picks, the noise and a tie coin per step.  A
 rejected proposal changes nothing, so a block's restarts climb in
 speculative rounds: each scores its next K proposals in one (R, K, d,
-2^(n-1)) array and jumps past the first one accepted.  K falls as the
-table grows and R restarts fit their sums, squares and window draws in
-LOCKSTEP_BYTES; no result depends on either.  Restarts merge
-deterministically; the best value is re-verified by exact enumeration.
+2^(n-1)) array, then settles every restart on Python floats, writing back
+the first proposal it accepts and jumping past it.  Picks and noise are
+padded by K zero steps, so a round reads past the window's end without
+clipping.  K falls as the table grows and R restarts fit their sums,
+squares and padded window draws in LOCKSTEP_BYTES; no result depends on
+either.  Restarts merge deterministically; the best value is re-verified
+by exact enumeration.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,20 +133,39 @@ def _min_norms(sums: np.ndarray) -> np.ndarray:
     return np.sqrt(total.min(axis=-1))
 
 
+@functools.lru_cache(maxsize=4)
+def _half_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eta_1 = +1 half of the n-vector sign table, read-only: C-contiguous
+    (2^(n-1), n), since BLAS's half @ rows may round by layout, and its
+    transpose, whose row i holds the signs of vector i: 2^n * n * 8 bytes.
+    ``_restarts`` keeps the last four sizes within LOCKSTEP_BYTES (n <= 13)
+    cached and builds a larger pair per call through ``__wrapped__``."""
+    half = np.ascontiguousarray(sign_columns(np.eye(n))[:, : 1 << (n - 1)].T)
+    columns = half.T.copy()
+    half.flags.writeable = columns.flags.writeable = False
+    return half, columns
+
+
 def _restarts(spec: SearchSpec):
     """Yield each restart's (rows, trace, settled value) in restart order,
-    climbing one block of restarts at a time."""
-    # C-contiguous (2^(n-1), n): BLAS's half @ rows may round by layout.
-    half = np.ascontiguousarray(sign_columns(np.eye(spec.n))[:, : 1 << (spec.n - 1)].T)
-    proposal = 2 * half.shape[0] * spec.d * 8  # its sums and their squares
-    ahead = min(_proposals(half.shape[0]), max(1, LOCKSTEP_BYTES // proposal))
-    # A restart's window holds 8 + 8d + 1 bytes of picks, noise and coins per
-    # step, twice while they are stacked, and 8d bytes of kicks (in the noise's
-    # place: they leave room for a round's smaller arrays).
+    climbing one block of restarts at a time.  A block's size counts, per
+    restart, K proposals of sums and squares and a window of draws with
+    its K steps of padding."""
+    small = (8 << spec.n) * spec.n <= LOCKSTEP_BYTES
+    tables = (_half_table if small else _half_table.__wrapped__)(spec.n)
+    sums = 1 << (spec.n - 1)
+    proposal = 2 * sums * spec.d * 8  # its sums and their squares
+    ahead = min(_proposals(sums), max(1, LOCKSTEP_BYTES // proposal))
+    # A restart's window holds 8 + 8d bytes of picks and kicks for each of
+    # its width + K steps, the K <= width last ones the zero padding a round
+    # may read past the window's end, and a coin byte per step, all drawn
+    # into place: at most 17 + 16d bytes a step.  The rest of 18 + 24d is
+    # left to a round's (R, K, 2^(n-1)) and (R, K, d) arrays.
     window = WINDOW * (18 + 24 * spec.d)
     block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window))
     for first in range(0, spec.restarts, block):
-        yield from zip(*_climb(spec, half, range(first, min(first + block, spec.restarts)), ahead))
+        chunk = range(first, min(first + block, spec.restarts))
+        yield from zip(*_climb(spec, tables, chunk, ahead))
 
 
 def _proposals(sums: int) -> int:
@@ -151,52 +174,73 @@ def _proposals(sums: int) -> int:
     return min(32, max(6, math.isqrt(65536 // sums)))
 
 
-def _climb(spec: SearchSpec, half: np.ndarray, restarts: range, ahead: int):
+def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
     """Run the given restarts together on one (R, d, 2^(n-1)) sum table, in
-    rounds of ``ahead`` proposals each; return each restart's rows, trace
-    and settled value."""
+    rounds of K = ``ahead`` proposals (fewer in a shorter window), with the
+    ``_half_table(n)`` pair ``tables``; return each restart's rows, trace
+    and settled value.  A round settles each restart on Python floats: the
+    first proposal that beats its value, or ties it on heads, is written
+    back and its cursor jumps past it, else past all K.  The scan stops at
+    the window's end, where K zero steps of padding keep the round's reads
+    in bounds; sums are gathered by restart only once some restart has left
+    the window."""
+    half, columns = tables
     rngs = [np.random.default_rng([spec.seed, r]) for r in restarts]
-    rows = np.array([rng.standard_normal((spec.n, spec.d)) for rng in rngs])
+    count, n, d = len(rngs), spec.n, spec.d
+    rows = np.array([rng.standard_normal((n, d)) for rng in rngs])
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
+    vectors = rows.reshape(-1, d)  # row r * n + i is vector i of restart r
     sums = (half @ rows).transpose(0, 2, 1).copy()
-    values = _min_norms(sums)
-    traces = [[v] for v in values.tolist()]
-    columns = half.T.copy()  # row i holds the half table's signs of vector i
-    offsets = np.arange(ahead)
+    values = _min_norms(sums).tolist()
+    traces = [[v] for v in values]
+    everyone = np.arange(count)[:, None]
     step = spec.step_init
     for start in range(0, spec.steps, WINDOW):
         width = min(WINDOW, spec.steps - start)
-        picks, kicks, heads = map(np.array, zip(*[
-            (rng.integers(spec.n, size=width), rng.standard_normal((width, spec.d)),
-             rng.random(width) < 0.5) for rng in rngs]))  # a sideways move needs heads
-        sizes = np.multiply.accumulate(np.r_[step, np.full(width - 1, spec.step_decay)])
-        step, kicks = sizes[-1] * spec.step_decay, np.multiply(kicks, sizes[:, None], out=kicks)
-        live, cursor = np.arange(len(rngs)), np.zeros(len(rngs), dtype=np.intp)
-        while live.size:
-            who, at = live[:, None], cursor[:, None] + offsets
-            valid = at < width
-            at = np.minimum(at, width - 1)
-            picked = picks[who, at]
-            old = rows[who, picked]
-            moved = old + kicks[who, at]
+        k = min(ahead, width)
+        span = width + k  # step t of restart r is entry r * span + t of picks and kicks
+        picks = np.zeros(count * span, dtype=np.intp)
+        kicks = np.zeros((count * span, d))
+        heads = np.empty((count, width), dtype=bool)  # a sideways move needs heads
+        for r, rng in enumerate(rngs):
+            drawn = slice(r * span, r * span + width)
+            picks[drawn] = rng.integers(n, size=width)
+            rng.standard_normal(out=kicks[drawn])
+            heads[r] = rng.random(width) < 0.5
+        sizes = np.full(width, spec.step_decay)
+        sizes[0] = step
+        step = np.multiply.accumulate(sizes, out=sizes)[-1] * spec.step_decay
+        kicks.reshape(count, span, d)[:, :width] *= sizes[:, None]
+        offsets = np.arange(k)
+        cursor = [0] * count
+        live = list(range(count))
+        while live:
+            who = everyone if len(live) == count else np.array(live)[:, None]
+            at = np.array([r * span + cursor[r] for r in live])[:, None] + offsets
+            picked = picks.take(at)
+            old = vectors.take(picked + who * n, axis=0)
+            moved = old + kicks.take(at, axis=0)
             # vecdot rounds as the 1-D norm does; norm(axis=-1) and einsum do not.
             moved /= np.sqrt(np.vecdot(moved, moved))[..., None]
-            new_sums = columns[picked][:, :, None, :] * (moved - old)[..., None]
-            new_sums += sums[who]  # + commutes: the bits of sums + update
-            new = _min_norms(new_sums)
-            current = values[who]
-            accept = valid & ((new > current) | ((new == current) & heads[who, at]))
-            taken, first = accept.any(axis=1), accept.argmax(axis=1)
-            cursor += np.where(taken, first + 1, ahead)
-            won, first = live[taken], first[taken]
-            gained = new[taken, first]
-            better = gained > values[won]
-            for r, v in zip(won[better].tolist(), gained[better].tolist()):
-                traces[r].append(v)
-            rows[won, picked[taken, first]] = moved[taken, first]
-            sums[won] = new_sums[taken, first]
-            values[won] = gained
-            live, cursor = live[cursor < width], cursor[cursor < width]
+            signs = columns.take(picked.ravel(), axis=0)[:, None, :]
+            new_sums = (signs * (moved - old).reshape(-1, d, 1)).reshape(len(live), k, d, -1)
+            # + commutes: the bits of sums + update.
+            new_sums += sums[:, None] if who is everyone else sums[who]
+            for j, (r, new) in enumerate(zip(live, _min_norms(new_sums).tolist())):
+                place, current = cursor[r], values[r]
+                for i, value in enumerate(new[: width - place]):
+                    if value >= current and (value > current or heads[r, place + i]):
+                        rows[r, picked[j, i]] = moved[j, i]
+                        sums[r] = new_sums[j, i]
+                        values[r] = value
+                        if value > current:
+                            traces[r].append(value)
+                        place += i + 1
+                        break
+                else:
+                    place += k
+                cursor[r] = place
+            live = [r for r in live if cursor[r] < width]
         del picks, kicks, heads  # the window goes before the next one is drawn
     # Incremental updates drift; settle each restart's value from scratch
     # (the trace keeps the incremental values so it stays nondecreasing).

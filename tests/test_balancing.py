@@ -31,6 +31,7 @@ from signsum.constructions import (
 )
 from signsum.core import SignAssignment, min_signed_norm, validate_config
 from signsum.errors import (
+    DegeneratePlane,
     NotOblique,
     NumericalNullspaceFailure,
     ObliquePairPresent,
@@ -516,6 +517,21 @@ class TestParityBalance:
         # Pair-first and the prefix law over the 3 longest both give
         # 3 * 1.05^2; the unit-vector formula's 1.7022 is unproven here.
         assert report.guarantee == pytest.approx(math.sqrt(3 * 1.05**2), abs=1e-15)
+
+    def test_degenerate_split_plane_skips_the_split(self):
+        """At zeta = 1e-52 a pair with |<u, w>| = 1 - 5e-13 is oblique
+        (zeta^(1/4) = 1e-13) but too parallel for projection_split's plane
+        basis, which raises DegeneratePlane; parity_balance answers without
+        that optional certificate."""
+        g = 1 - 5e-13
+        config = validate_config([(1, 0, 0), (g, math.sqrt(1 - g * g), 0),
+                                  (0, 0, 1), (0, 0, -1)])
+        with pytest.raises(DegeneratePlane):
+            projection_split(config, pair=(0, 1), zeta=1e-52)
+        report = parity_balance(config, zeta=1e-52)
+        assert report.case_taken == "oblique"
+        assert report.achieved_norm == min_signed_norm(config)[0] == 1.0000444493034251e-06
+        assert report.guarantee == pytest.approx(math.sqrt(2), abs=1e-11)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_oblique_certificates_at_the_given_norms(self, seed):

@@ -278,6 +278,15 @@ class TestFlags:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: zeta must lie in")
 
+    def test_balance_with_a_degenerate_split_plane_exits_0(self, workdir):
+        """An oblique pair too parallel for the projection split's plane
+        basis at --zeta 1e-52: the split is skipped, not an error."""
+        g = 1 - 5e-13
+        json.dump({"dim": 3, "vectors": [[1, 0, 0], [g, math.sqrt(1 - g * g), 0],
+                                         [0, 0, 1], [0, 0, -1]]}, open("c.json", "w"))
+        assert main(["balance", "--config", "c.json", "--zeta", "1e-52", "--out", "b.json"]) == 0
+        assert json.load(open("b.json"))["result"]["case_taken"] == "oblique"
+
     def test_string_rows_are_refused(self, workdir, capsys):
         json.dump({"dim": 2, "vectors": ["10", "01"]}, open("c.json", "w"))
         assert main(["enumerate", "--config", "c.json", "--r", "1.5"]) == 2

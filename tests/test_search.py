@@ -2,6 +2,8 @@ import math
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signsum import core, search
 from signsum.core import min_signed_norm
@@ -115,6 +117,19 @@ def _lockstep_specs():
     return specs
 
 
+@st.composite
+def _round_cases(draw):
+    """A spec (at d = 1, possibly with step_init = 4 flipping signs, so that
+    values tie), a K, restarts per block and a window: blocks run partly
+    live, and windows can be shorter than K."""
+    d = draw(st.integers(1, 5))
+    ties = d == 1 and draw(st.booleans())
+    spec = SearchSpec(d=d, n=draw(st.integers(1, 9)), restarts=draw(st.integers(1, 6)),
+                      steps=draw(st.integers(1, 300)), seed=draw(st.integers(0, 2**16)),
+                      **(dict(step_init=4.0, step_decay=1.0) if ties else {}))
+    return spec, draw(st.integers(1, 40)), draw(st.integers(0, 4)), draw(st.integers(1, 300))
+
+
 class TestLockstep:
     """The lockstep climb on the half table matches the serial climb on the
     full table field for field."""
@@ -186,6 +201,15 @@ class TestLockstep:
         assert len(result.history) == 455
         assert peak <= search.LOCKSTEP_BYTES + kept
 
+    def test_only_half_tables_within_lockstep_bytes_stay_cached(self):
+        """The n = 13 half table and its transpose (0.81 MiB) stay cached for
+        the next search; the n = 14 pair (1.75 MiB) is freed with its call."""
+        search._half_table.cache_clear()
+        maximize_min_norm(SearchSpec(d=1, n=14, restarts=1, steps=1))
+        assert search._half_table.cache_info().currsize == 0
+        maximize_min_norm(SearchSpec(d=1, n=13, restarts=1, steps=1))
+        assert search._half_table.cache_info().currsize == 1
+
 
 class TestSpeculation:
     """A round scores K proposals per restart and takes the first accepted;
@@ -218,6 +242,17 @@ class TestSpeculation:
             TestLockstep._assert_matches(spec)
             block = max(1, per_block)
             assert climbs[0] == (min(block, spec.restarts), ahead if per_block else 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_round_cases())
+    def test_rounds_match_serial_climb(self, case):
+        spec, ahead, per_block, window = case
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "WINDOW", window)
+            m.setattr(search, "_proposals", lambda sums: ahead)
+            m.setattr(search, "LOCKSTEP_BYTES",
+                      _lockstep_bytes(per_block, spec.d, spec.n, ahead))
+            TestLockstep._assert_matches(spec)
 
     @pytest.mark.parametrize("n, ahead", [(1, 32), (4, 32), (8, 22), (9, 16), (11, 8), (12, 6)])
     def test_proposals_fall_with_table_size(self, monkeypatch, n, ahead):
