@@ -503,27 +503,15 @@ def projection_split(
     # min keeps the first of equal values, as a strict < scan would.
     signs[[iu, iw]] = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=lambda e: plane_sq(*e))
 
-    plane_budget = math.sqrt(2.0 - math.sqrt(zeta)) + 4.0 * len(others) * zeta**0.75
-    return _report("projection_split", rows, lam_arr, signs,
-                   math.sqrt(d - 2 + plane_budget**2), "oblique")
+    return _report("projection_split", rows, lam_arr, signs, _split_guarantee(d, config.n, zeta),
+                   "oblique")
 
 
-def _split_refuted(gram: np.ndarray, pair: tuple[int, int], zeta: float, d: int) -> bool:
-    """Whether the Gram matrix G proves that projection_split(pair=pair,
-    zeta=zeta) raises, under parity_balance's premises: some other |G[v, u]|
-    or |G[v, w]| tops its bound 2 zeta^(3/4) + 1e-12 by the margin
-    (1e-8 + 3e-15 d) / D^2, D = 1 - (1 - alpha)^2, as |P v| >= |<v, u>| / ||u||.
-    Proof, eps = 2^-53, c = 1.01 d eps: each dot product (G's, the split's)
-    errs by <= c, so the split's det = 1 - g^2 >= D - 4c, g its <u, w> (the
-    scan took |G[u, w]| < 1 - alpha).  Its a u + b w has (a u + b w) . u = <v, u>
-    + a (||u||^2 - 1) + b (<u, w> - g), |a|, |b| <= 2.01 / det, and is_unit
-    leaves | ||u||^2 - 1 | <= 2.1e-9 + 4 d eps; rounding moves a u + b w by
-    <= 60 eps / det^2 and its norm by a factor 1 - 2c.  With D <= 1, these and
-    ||u|| <= 1 + 2.1e-9 sum to the margin; where D < 8c it exceeds 2 > |G|."""
-    limit = 2.0 * zeta**0.75 + 1e-12 + (1e-8 + 3e-15 * d) / (1.0 - (1.0 - zeta**0.25) ** 2) ** 2
-    inner = np.abs(gram[list(pair)])
-    inner[:, list(pair)] = 0.0
-    return bool((inner > limit).any())
+def _split_guarantee(d: int, n: int, zeta: float) -> float:
+    """projection_split's bound: the complement's d - 2 plus the plane's
+    (sqrt(2 - sqrt(zeta)) + 4 (n - 2) zeta^(3/4))^2, so d - g^2 <= sqrt(zeta)."""
+    plane_budget = math.sqrt(2.0 - math.sqrt(zeta)) + 4.0 * (n - 2) * zeta**0.75
+    return math.sqrt(d - 2 + plane_budget**2)
 
 
 # Worst-case guarantee for unit vectors regardless of structure; far from
@@ -542,29 +530,35 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
     dispatches to sqrt(d - eps), eps the strongest certificate of the
     branch: no oblique pair -> the cluster bound of cluster_and_pair; an
     oblique pair -> the pair-first greedy bound and the projection split
-    when its preconditions hold.  The cluster bound assumes unit vectors, and
-    neither it nor the pair-first bound on unit vectors is weaker than the
-    theoretical floor paper_epsilon(d), a theorem about unit vectors.  When
-    some vector is not a unit vector, the oblique branch evaluates the
-    pair-first bound at the norms given and certifies the prefix law over
-    the d longest vectors in place of the floor.
+    when its preconditions hold, none weaker than the theoretical floor
+    paper_epsilon(d).  The floor, the cluster bound and the split are
+    theorems about unit vectors (squared norms within 1 +/- 2e-9): off them
+    the clustered branch certifies approximate_point's bound, and the
+    oblique branch the lesser of it and the pair-first bound at the norms given.
 
-    The answer does not depend on the branch's certificates: it is the exact
-    minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, and
-    above it the first best of the branch's portfolio (fallback:
-    eliminate+greedy; clustered: cluster-and-pair, then eliminate+greedy;
-    oblique: eliminate+greedy, pair-first greedy, the projection split, then
-    randomly ordered greedy passes, all greedy orders in one batched pass).
+    The answer does not depend on the certificates: it is the exact
+    minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, where
+    the split is tried only if its closed-form guarantee beats the others,
+    and above it the first best of the branch's portfolio (eliminate+greedy;
+    clustered on unit vectors: cluster-and-pair first; oblique: then
+    pair-first greedy, the projection split and randomly ordered greedy
+    passes, all greedy orders in one batched pass).
     """
     d, n = config.dim, config.n
     zeta = _zeta(d, zeta)
     eps_floor = paper_epsilon(d)
+    rows = config.as_array()
+    squares = np.vecdot(rows, rows).tolist()
+    longest = max(squares)
+    unit = longest <= 1.0 + 2e-9 and min(squares) >= 1.0 - 2e-9
 
-    if n % 2 == d % 2:
+    scan = None if n % 2 == d % 2 else _oblique_scan(config, zeta**0.25)
+    if scan is None or (scan[1] is None and not unit):
         # approximate_point's bound, which the exact minimiser can only beat.
-        case, guarantee = "fallback", _approximation_bound(config.as_array())
+        case = "fallback" if scan is None else "clustered"
+        guarantee = _approximation_bound(rows)
         portfolio = lambda: [approximate_point(config)]
-    elif (scan := _oblique_scan(config, zeta**0.25))[1] is None:
+    elif scan[1] is None:
         # The cluster bound is closed form; the clustering still raises when
         # its preconditions fail, and cluster_and_pair runs only above the cap.
         _check_cluster_zeta(zeta)
@@ -577,23 +571,23 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
         # 2|<u, w>| exactly, each later step adds at most ||v_i||^2 to the
         # squared norm; the exact minimiser can only do better.  For unit
         # vectors that is n - 2|<u, w>|, and a bound past sqrt(d) loses to
-        # the floor in max().  The floor is a theorem about unit vectors;
-        # other norms have the prefix law over the d longest vectors.
-        rows = config.as_array()
+        # the floor in max().
         iu, iw = pair = scan[1]
         case = "oblique"
-        squares = np.vecdot(rows, rows)
-        longest, inner = float(squares.max()), abs(float(rows[iu] @ rows[iw]))
-        if longest <= 1.0 + 2e-9 and float(squares.min()) >= 1.0 - 2e-9:
+        inner = abs(float(rows[iu] @ rows[iw]))
+        if unit:
             certificates = [eps_floor, d - (n - 2.0 * inner)]
         else:
-            certificates = [d - (float(squares.sum()) - 2.0 * inner),
+            certificates = [d - (float(np.sum(squares)) - 2.0 * inner),
                             d - _approximation_bound(rows) ** 2]
         splits = []
         # The split's plane basis takes a unit pair, and its bound vectors
-        # of norm at most 1.
-        if (d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw])
-                and longest <= 1.0 + 2e-9 and not _split_refuted(scan[0], pair, zeta, d)):
+        # of norm at most 1.  Up to the cap only its guarantee can change
+        # the report; above it its signs join the portfolio.
+        if (d >= 3 and longest <= 1.0 + 2e-9
+                and (n > EXHAUSTIVE_FALLBACK_CAP
+                     or d - _split_guarantee(d, n, zeta)**2 > max(certificates))
+                and is_unit(rows[iu]) and is_unit(rows[iw])):
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)
                 certificates.append(d - split.guarantee**2)

@@ -50,9 +50,11 @@ def config_from_obj(obj: dict, policy: PrecisionPolicy | None = None) -> VectorC
         if type(dim) is not int or type(tolerance) is bool:  # int(2.7) would read as 2
             raise TypeError
         tolerance = float(tolerance)
-    except TypeError:  # obj, a row or an entry of the wrong JSON type
+    except (TypeError, KeyError):  # obj, a row or an entry of the wrong JSON type, or no key
         raise ValueError('a configuration is a JSON object with an integer "dim" and '
                          '"vectors", a list of lists of numbers') from None
+    except OverflowError:  # an integer past the float range (load_json refuses it in a file)
+        raise ValueError("a configuration entry overflows a float") from None
     return VectorConfig(
         dim=dim,
         vectors=tuple(rows),

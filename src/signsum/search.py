@@ -250,6 +250,8 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
 def _balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:
     """All-odd multiplicities summing to n, as equal as possible, or None
     when the parity makes that impossible."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
     if n < d or (n - d) % 2 != 0:
         return None
     mults = [1] * d

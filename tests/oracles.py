@@ -8,7 +8,9 @@ circle-line intersection quadratic, the polar oracle goes through an
 eigenvalue square root instead of the SVD, the greedy oracle takes one
 vector at a time instead of one step of a batch of orders, the search
 oracle climbs one restart and one step at a time on the full sign table
-and sums each norm^2 component by component, and the
+and sums each norm^2 component by component, the split oracle tries
+projection_split wherever its premises hold and runs each greedy order on
+its own, and the
 falsifier oracle scores every candidate from scratch.  Its g adds its own
 doubled head and tail tables and sums each norm^2 over the components in
 index order, as the library does when it settles each start, so that equal
@@ -27,7 +29,16 @@ import math
 
 import numpy as np
 
-from signsum.errors import DimensionMismatch, NormViolation
+from signsum import balancing
+from signsum.core import SignAssignment, min_signed_norm
+from signsum.errors import (
+    DegeneratePlane,
+    DimensionMismatch,
+    NormViolation,
+    NotOblique,
+    ProjectionTooLong,
+)
+from signsum.geometry import is_unit
 
 _CHUNK = 1 << 10
 
@@ -169,6 +180,47 @@ def greedy_pass(rows, lam, order):
         signs[i] = 1 if float(plus @ plus) <= float(minus @ minus) else -1
         s = plus if signs[i] == 1 else minus
     return signs, s
+
+
+def split_always_balance(config, zeta=None, seed=0):
+    """parity_balance on unit vectors with an oblique pair, trying
+    projection_split wherever its premises hold (d >= 3 and a unit pair;
+    no vector is longer than 1 + 2e-9) whether or not it can set the guarantee:
+    sqrt(d - max(floor, pair-first, split)), and the exact minimiser up to
+    EXHAUSTIVE_FALLBACK_CAP, above it the first best of approximate_point,
+    the pair-first greedy pass, the split and GREEDY_ORDERS - 1 random
+    greedy passes."""
+    d, n = config.dim, config.n
+    zeta = balancing.default_zeta(d) if zeta is None else zeta
+    rows = config.as_array()
+    assert all(abs(float(row @ row) - 1.0) <= 2e-9 for row in rows), "unit vectors only"
+    iu, iw = balancing.detect_oblique(config, zeta**0.25)
+    certificates = [balancing.paper_epsilon(d), d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
+    splits = []
+    if d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw]):
+        try:
+            split = balancing.projection_split(config, pair=(iu, iw), zeta=zeta)
+        except (ProjectionTooLong, NotOblique, DegeneratePlane):
+            pass
+        else:
+            certificates.append(d - split.guarantee**2)
+            splits.append((split.achieved_norm, split.signs.signs))
+    guarantee = math.sqrt(d - max(certificates))
+    if n <= balancing.EXHAUSTIVE_FALLBACK_CAP:
+        achieved, signs = min_signed_norm(config)
+    else:
+        rng = np.random.default_rng([seed, 1])
+        orders = [[iu, iw] + [i for i in range(n) if i not in (iu, iw)]]
+        orders += [rng.permutation(n) for _ in range(balancing.GREEDY_ORDERS - 1)]
+        greedy = []
+        for order in orders:
+            signs = greedy_pass(rows, np.zeros(n), order)[0]
+            greedy.append((float(np.linalg.norm((0.0 + np.array(signs)) @ rows)), tuple(signs)))
+        approx = balancing.approximate_point(config)
+        candidates = [(approx.achieved_norm, approx.signs.signs), greedy[0], *splits, *greedy[1:]]
+        achieved, signs = min(candidates, key=lambda c: c[0])  # the first of equal norms
+        signs = SignAssignment(signs)
+    return balancing.BalanceReport("parity_balance", signs, achieved, guarantee, "oblique")
 
 
 def min_approx_error_sq(config, lam):

@@ -49,6 +49,7 @@ from oracles import (
     min_approx_error_sq,
     scalar_eliminate_rows,
     serial_falsifier,
+    split_always_balance,
 )
 
 
@@ -556,9 +557,10 @@ class TestParityBalance:
 
     def test_beck_sweep_beyond_unit_norm(self):
         """200 random mismatched-parity configurations (d 2-3, n = d + 1 or
-        d + 3) scaled to norm 1.09: each answers within its guarantee.  The
-        one refusal is the clustered branch's transitivity check, whose
-        thresholds are stated for unit vectors (a FOUND in CHANGES.md)."""
+        d + 3) scaled to norm 1.09: each answers within its guarantee.  Off
+        unit vectors the clustered branch certifies the prefix law and runs
+        no transitivity check, whose thresholds are stated for unit vectors,
+        so none is refused."""
         refused = {}
         for seed in range(200):
             rng = np.random.default_rng(seed)
@@ -572,7 +574,48 @@ class TestParityBalance:
                 refused[seed] = d
                 continue
             assert report.achieved_norm <= report.guarantee
-        assert refused == {126: 2}
+        assert refused == {}
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 4), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
+           clustered=st.booleans(), scales=st.lists(st.floats(0.5, 1.1), min_size=10, max_size=10))
+    def test_beck_certificates_recomputed(self, d, extra, seed, clustered, scales):
+        """Beck inputs with norms in [0.5, 1.1] at mismatched parity, n <= 10:
+        the branch and its guarantee recomputed here from the given norms
+        (the cluster bound or the floor and the pair-first bound on unit
+        vectors; otherwise the prefix law over the d longest vectors, or the
+        lesser of it and the pair-first sum), and achieved <= guarantee."""
+        n = d + 1 + 2 * min(extra, (9 - d) // 2)
+        rng = np.random.default_rng(seed)
+        if clustered:  # near-orthonormal clusters, norms in [0.9, 1.02]
+            mults = np.bincount(rng.integers(0, d, n - d), minlength=d) + 1
+            rows = np.repeat(np.eye(d), mults, axis=0) + 1e-3 * rng.standard_normal((n, d))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            lengths = [1.0 + 0.2 * (s - 1.0) for s in scales[:n]]
+        else:
+            rows = random_unit_config(d, n, seed=seed).as_array()
+            lengths = scales[:n]
+        rows = rows * np.array(lengths)[:, None]
+        config = validate_config(rows, mode="beck", tolerance=0.1)
+        report = parity_balance(config)
+
+        alpha = default_zeta(d) ** 0.25
+        squares = [float(row @ row) for row in rows]
+        unit = all(abs(q - 1.0) <= 2e-9 for q in squares)
+        prefix = sum(sorted(squares)[-d:])
+        pairs = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                 if alpha < abs(float(rows[i] @ rows[j])) < 1.0 - alpha]
+        if not pairs:
+            assert report.case_taken == "clustered"
+            expected = d - 1 + 2 * d * alpha if unit else prefix
+        else:
+            assert report.case_taken == "oblique"
+            i, j = pairs[0]
+            pair_first = sum(squares) - 2 * abs(float(rows[i] @ rows[j]))
+            expected = min(pair_first, d if unit else prefix)
+        assert report.guarantee == pytest.approx(math.sqrt(expected), rel=1e-12)
+        assert report.achieved_norm <= report.guarantee
+        assert report.achieved_norm == min_signed_norm(config)[0]
 
     @pytest.mark.parametrize("seed", range(150))
     def test_random_three_dimensional_quadruples(self, seed):
@@ -911,11 +954,15 @@ def _near_plane_config(d, cos, lengths, seed, scales=(1.0, 1.0)):
 
 
 class TestSplitPrecheck:
-    """parity_balance skips projection_split when the Gram matrix proves
-    that it raises; every report equals the one with the split always tried."""
+    """Up to the cap parity_balance tries projection_split only where its
+    closed-form guarantee beats the other certificates, and above it always;
+    every report equals the one with the split tried wherever its premises
+    hold."""
 
     @staticmethod
     def _lengths(d):
+        # Lengths on both sides of the split's bound 2 zeta^(3/4) and of
+        # that bound plus a rounding margin.
         zeta = default_zeta(d)
         bound = 2.0 * zeta**0.75
         alpha = zeta**0.25
@@ -932,41 +979,74 @@ class TestSplitPrecheck:
             for lengths in self._lengths(d):
                 for seed, cos in enumerate((0.3, -0.6, 0.8)):
                     yield d, _near_plane_config(d, cos, lengths, seed)
-        # u and w at is_unit's edge: the split's length and |G[v, u]| then
-        # differ by about |a| (||u||^2 - 1), past 1e-12, so a precheck with
-        # no margin would skip splits that succeed.
+        # u and w at is_unit's edge, where the split's in-plane lengths and
+        # |<v, u>| differ by about |a| (||u||^2 - 1), past 1e-12.
         bound = 2.0 * default_zeta(3) ** 0.75
         for cos, su, sw, k in itertools.product((0.3, 0.6), (1 + 0.99e-9, 1 - 0.99e-9),
                                                 (1 + 0.99e-9, 1 - 0.99e-9), range(0, 60, 4)):
             lengths = [bound + 1e-12 + k * 2e-13, 0.1 * bound]
             yield 3, _near_plane_config(3, cos, lengths, 1, (su, sw))
 
-    def test_reports_equal_with_the_precheck_patched_out(self, monkeypatch):
-        splits, refuted, taken = [], 0, 0
+    @staticmethod
+    def _winning_cases():
+        """n = d + 1 with |<u, w>| < 1/2 at small zeta, where the split's
+        certificate, about sqrt(zeta), beats the pair-first one."""
+        for d, zeta in itertools.product((3, 4, 5), (1e-6, 1e-8, 1e-10, 1e-12, 1e-14)):
+            bound = 2.0 * zeta**0.75
+            for seed, cos in enumerate((0.3, -0.2, 0.45)):
+                for scale in (0.2, 0.9, 1.5):
+                    lengths = [scale * bound * (k + 1) / d for k in range(d - 1)]
+                    yield d, zeta, _near_plane_config(d, cos, lengths, seed)
+
+    @staticmethod
+    def _above_the_cap():
+        """n = 13-17, where the split's signs join the portfolio."""
+        for d, n, seed in itertools.product((3, 4), (13, 14, 15, 17), range(2)):
+            if n % 2 != d % 2:
+                bound = 2.0 * default_zeta(d) ** 0.75
+                lengths = [bound * (0.3 + 0.7 * (k % 3) / 2) for k in range(n - 2)]
+                for cos in (0.2, 0.7):
+                    yield d, None, _near_plane_config(d, cos, lengths, seed)
+                yield d, None, random_unit_config(d, n, seed=seed)
+
+    def test_reports_equal_the_split_always_oracle(self, monkeypatch):
+        """Reports, guarantees to the bit and signs equal the oracle's, which
+        always tries the split; up to the cap at the default zeta the split
+        is never called, above it always."""
+        calls = []
         split = balancing.projection_split
         monkeypatch.setattr(balancing, "projection_split",
-                            lambda *args, **kw: splits.append(1) or split(*args, **kw))
-        for d, config in self._cases():
-            zeta = default_zeta(d)
-            splits.clear()
-            report = parity_balance(config)
+                            lambda *args, **kw: calls.append(1) or split(*args, **kw))
+        cases = [(d, zeta, config) for zeta in (None, 1e-3, 1e-6) for d, config in self._cases()]
+        cases += [*self._winning_cases(), *self._above_the_cap()]
+        wins = 0
+        for d, zeta, config in cases:
+            calls.clear()
+            report = parity_balance(config, zeta=zeta)
+            if config.n > balancing.EXHAUSTIVE_FALLBACK_CAP:
+                assert calls
+            elif zeta is None:
+                assert not calls
             assert report.case_taken == "oblique"
-            tried = bool(splits)
-            with monkeypatch.context() as m:
-                m.setattr(balancing, "_split_refuted", lambda *args: False)
-                always = parity_balance(validate_config(config.vectors))
-                assert always == report and always.guarantee.hex() == report.guarantee.hex()
-            if not tried:
-                refuted += 1
-                with pytest.raises((ProjectionTooLong, NotOblique)):
-                    split(config, pair=(0, 1), zeta=zeta)
-            else:
-                try:
-                    split(config, pair=(0, 1), zeta=zeta)
-                    taken += 1
-                except ProjectionTooLong:
-                    pass
-        assert refuted >= 20 and taken >= 20  # both sides of the bound are covered
+            expected = split_always_balance(config, zeta=zeta)
+            assert report == expected
+            assert report.guarantee.hex() == expected.guarantee.hex()
+            rows = config.as_array()
+            iu, iw = detect_oblique(config, (zeta or default_zeta(d)) ** 0.25)
+            pair_first = d - (config.n - 2.0 * abs(float(rows[iu] @ rows[iw])))
+            wins += report.guarantee < math.sqrt(d - max(paper_epsilon(d), pair_first))
+        assert wins >= 60
+
+    def test_split_never_beats_the_pair_first_bound_at_the_default_zeta(self):
+        """An oblique pair has |<u, w>| > zeta^(1/4), so at default_zeta(d)
+        the split's certificate d - g^2 never passes the floor or the
+        pair-first certificate d - n + 2|<u, w>|: on unit inputs up to the
+        cap parity_balance never calls projection_split."""
+        for d in range(3, 200):
+            zeta = default_zeta(d)
+            for n in range(3 - d % 2, 31, 2):
+                g = balancing._split_guarantee(d, n, zeta)
+                assert d - g * g <= max(paper_epsilon(d), d - n + 2.0 * zeta**0.25), (d, n)
 
     def test_random_oblique_configs_skip_the_split(self, monkeypatch):
         """The benchmark's oblique jobs: random unit vectors, whose others

@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from signsum import search as search_mod
 from signsum.cli import build_parser, main
@@ -17,6 +19,8 @@ from signsum.jsonio import (
     probability_from_string,
 )
 from signsum.constructions import random_unit_config
+from signsum.core import VectorConfig
+from signsum.errors import SignsumError
 from signsum.precision import PrecisionPolicy
 
 
@@ -533,6 +537,12 @@ class TestDecayCommand:
         values = [probability_from_string(row[3]) for row in rows[1:]]
         assert all(v > 0 for v in values)  # planar odd-n families always hit
 
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_orthomult_without_a_dimension_exits_2(self, workdir, capsys, d):
+        assert main(["decay", "--families", "orthomult", "--n-list", "2,5", "--d", d]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: need d >= 1")
+
 
 class TestSelftest:
     def test_passes(self, workdir, capsys):
@@ -540,3 +550,103 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") >= 8
+
+
+# Token pools for the fuzzed command lines.  Every construction has n <= 9
+# and d <= 4, and every budget is at most 2, so no call builds a large table.
+_NUMBERS = ["nan", "inf", "-inf", "1e400", "1/0", "-1", "0", "0.5", "1", "2", "1e-300", ""]
+_SPECS = ["exponential:5", "exponential:9", "exponential:4", "exponential:0", "exponential:-1",
+          "exponential:nan", "exponential:5:0.5", "exponential:5:1", "exponential:5:1e400",
+          "exponential", "orthomult:2:1,3", "orthomult:4:3,3,1,1", "orthomult:2:",
+          "orthomult:2:1,x", "orthomult:0:1", "orthomult:-1:1", "orthomult:2:-1,1", "tight",
+          "tight:3", "random:3:6", "random:4:9", "random:2:7", "random:0:3", "random:3:0",
+          "random:3:-1", "random:3", "random:3:5:1", "random:nan:3", "", "junk"]
+_PRECISIONS = ["double", "ext:64", "ext:256", "interval:53", "interval:128", "ext:0", "ext:-1",
+               "ext:nan", "ext:1e400", "ext", "interval:", "", "junk"]
+_CONFIGS = ['{"dim": 2, "vectors": [[1, 0], [0, 1], [0.6, 0.8]]}',
+            '{"dim": 3, "vectors": [[1, 0, 0], [0.3, 0.9539392014169457, 0], [0, 0, 1], [0, 0, 1]]}',
+            '{"dim": 2, "vectors": [[1.05, 0], [0, 1.05]], "mode": "beck", "norm_tolerance": 0.1}',
+            '{"dim": 2, "vectors": [[NaN, 0], [0, 1]]}', '{"dim": 2, "vectors": [[1e999, 0]]}',
+            '{"dim": 2, "vectors": [[true, 0]]}', '{"dim": 2, "vectors": ["10", "01"]}',
+            '{"dim": 2}', '{"vectors": [[1, 0]]}', '{"dim": 0, "vectors": []}',
+            '{"dim": 2, "vectors": [[1, 0, 0]]}', '{"dim": 2.5, "vectors": [[1, 0]]}',
+            '{"dim": 1, "vectors": [[1]], "mode": "weird"}',
+            '{"dim": 1, "vectors": [[1]], "norm_tolerance": -1}',
+            '{"dim": 1, "vectors": [["1"]], "norm_tolerance": "x"}', '[1, 2]', 'null', '', '{']
+_LAMBDAS = ["[0, 0, 0]", "[2, 0]", "[NaN]", "[true]", "{}", "[0.5, -0.5, 0.1, 0.2]", "", "[1e999]"]
+_FILES = ["c.json", "lam.json", "missing.json", ".", ""]
+_SHARED = [("--precision", _PRECISIONS), ("--seed", ["0", "1", "-1", "nan", "1e400", ""]),
+           ("--out", ["out.json", ".", "no/such/dir.json", ""])]
+_COMMANDS = {
+    "enumerate": [("--r", _NUMBERS), ("--tolerance", _NUMBERS), ("--construct", _SPECS),
+                  ("--config", _FILES)],
+    "construct": [(None, _SPECS)],
+    "balance": [("--algo", ["greedy", "eliminate", "cluster", "parity", "auto", "junk"]),
+                ("--zeta", _NUMBERS), ("--lambda", ["zeros", "lam.json", "missing.json", ""]),
+                ("--construct", _SPECS), ("--config", _FILES)],
+    "falsify": [("--r", _NUMBERS), ("--budget", ["0", "1", "2", "-1", "nan", ""]),
+                ("--construct", _SPECS), ("--config", _FILES)],
+    "decay": [("--families", ["exponential", "orthomult", "random", "exponential,orthomult",
+                              "random,orthomult", "junk", ""]),
+              ("--n-list", ["2,5", "4", "3", "9", "1,3,5", "", "x", "-1", "0", "2,nan", "3,,5"]),
+              ("--r", _NUMBERS), ("--d", ["0", "-1", "1", "2", "4", "nan", ""]),
+              ("--format", ["csv", "json", "xml"])],
+}
+# 40 examples for each of the five commands, 200 calls in all.
+_FUZZ = settings(max_examples=40, deadline=None,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _command_line(command):
+    """argv for ``command``: each of its flags and the shared ones left out
+    or given one token of its pool; a flag of None is the positional one."""
+    flags = _COMMANDS[command] + _SHARED
+    return st.tuples(*(st.none() | st.sampled_from(tokens) for _, tokens in flags)).map(
+        lambda drawn: [command] + [word for (flag, _), token in zip(flags, drawn)
+                                   if token is not None
+                                   for word in ([token] if flag is None else [flag, token])])
+
+
+class TestFuzzedArguments:
+    """Command lines built from a fixed pool of malformed and valid tokens:
+    every call answers (0), refuses (2, or 3 for precision) or exits 2
+    through argparse, and none raises."""
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @_FUZZ
+    @given(data=st.data(), config=st.sampled_from(_CONFIGS), lam=st.sampled_from(_LAMBDAS))
+    def test_never_raises(self, workdir, command, data, config, lam):
+        Path("c.json").write_text(config)
+        Path("lam.json").write_text(lam)
+        argv = data.draw(_command_line(command))
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse: a missing or malformed argument
+            code = exc.code
+            assert code == 2, argv
+        assert code in (0, 2, 3), argv
+
+    _LEAVES = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4))
+    _JSON = st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=3), inner, max_size=2), max_leaves=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(obj=st.fixed_dictionaries({}, optional={
+        "dim": st.integers(-1, 4) | _JSON,
+        "vectors": st.lists(st.lists(st.floats() | st.integers() | _LEAVES, max_size=4),
+                            max_size=9) | _JSON,
+        "mode": st.sampled_from(["strict", "beck"]) | _JSON,
+        "norm_tolerance": st.floats() | _JSON,
+    }) | _JSON)
+    def test_config_from_obj_returns_or_refuses(self, obj):
+        try:
+            assert isinstance(config_from_obj(obj), VectorConfig)
+        except (ValueError, SignsumError):
+            pass
+
+    @pytest.mark.parametrize("obj", [{"dim": 2}, {"vectors": [[1.0]]},
+                                     {"dim": 1, "vectors": [[10**400]]},
+                                     {"dim": 1, "vectors": [[1.0]], "norm_tolerance": 10**400}])
+    def test_config_from_obj_refuses_missing_keys_and_huge_integers(self, obj):
+        with pytest.raises(ValueError):
+            config_from_obj(obj)

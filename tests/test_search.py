@@ -279,3 +279,8 @@ class TestParitySweep:
         assert _balanced_odd_multiplicities(3, 4) is None
         assert _balanced_odd_multiplicities(2, 1) is None
         assert _balanced_odd_multiplicities(3, 9) == [3, 3, 3]
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_odd_multiplicity_helper_refuses_no_dimension(self, d):
+        with pytest.raises(ValueError, match="need d >= 1"):
+            _balanced_odd_multiplicities(d, 5)
