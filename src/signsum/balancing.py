@@ -448,10 +448,11 @@ def projection_split(
     """Split balancing across an oblique pair's plane and its complement.
 
     The pair (u, w) must be zeta^(1/4)-oblique and every other vector's
-    projection onto their plane P must have norm <= 2*zeta^(3/4).  The
-    complement part is approximated by the projected remainder (squared
-    error <= d - 2); the plane part by the best of the four sign choices on
-    u, w against the accumulated in-plane residue.
+    projection onto their plane P must have norm <= 2*zeta^(3/4); the others
+    are projected in one stacked pass, and the first too long raises
+    ProjectionTooLong.  The complement part is approximated by the projected
+    remainder (squared error <= d - 2); the plane part by the best of the
+    four sign choices on u, w against the accumulated in-plane residue.
     """
     d = config.dim
     if d < 3:
@@ -476,25 +477,19 @@ def projection_split(
     basis = PlaneBasis.from_vectors(rows[iu], rows[iw])
     others = [i for i in range(config.n) if i not in (iu, iw)]
     bound = 2.0 * zeta**0.75
-    in_plane, perp = [], []
-    for i in others:
-        z_in, z_perp = project_onto_plane(rows[i], basis)
-        length = float(np.linalg.norm(z_in))
-        if length > bound + 1e-12:
-            raise ProjectionTooLong(i, length, bound)
-        in_plane.append(z_in)
-        perp.append(z_perp)
+    in_plane, perp = project_onto_plane(rows[others], basis)
+    lengths = np.sqrt(np.vecdot(in_plane, in_plane))
+    if (too_long := np.flatnonzero(lengths > bound + 1e-12)).size:
+        k = too_long[0]
+        raise ProjectionTooLong(others[k], float(lengths[k]), bound)
 
-    # Orthonormal coordinates for the complement of P.
+    # Orthonormal coordinates for the complement of P: a stack of
+    # matrix-vector products rounds each row as alone; perp @ Q[:, 2:] does not.
     Q, _ = np.linalg.qr(np.column_stack([rows[iu], rows[iw]]), mode="complete")
-    comp = Q[:, 2:]  # d x (d-2)
-    perp_coords = np.array([comp.T @ z for z in perp]).reshape(len(others), d - 2)
     signs = np.zeros(config.n, dtype=int)
-    signs[others] = _approximate_rows(perp_coords, lam_arr[others])
-
-    residue = np.zeros(d)
-    for i, z_in in zip(others, in_plane):
-        residue += (lam_arr[i] + signs[i]) * z_in
+    signs[others] = _approximate_rows((Q[:, 2:].T @ perp[:, :, None])[:, :, 0], lam_arr[others])
+    # Summed row by row in the order of others.
+    residue = ((lam_arr[others] + signs[others])[:, None] * in_plane).sum(axis=0)
 
     def plane_sq(eu: int, ew: int) -> float:
         cand = (lam_arr[iu] + eu) * rows[iu] + (lam_arr[iw] + ew) * rows[iw] + residue
@@ -530,19 +525,19 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
     dispatches to sqrt(d - eps), eps the strongest certificate of the
     branch: no oblique pair -> the cluster bound of cluster_and_pair; an
     oblique pair -> the pair-first greedy bound and the projection split
-    when its preconditions hold, none weaker than the theoretical floor
-    paper_epsilon(d).  The floor, the cluster bound and the split are
-    theorems about unit vectors (squared norms within 1 +/- 2e-9): off them
-    the clustered branch certifies approximate_point's bound, and the
-    oblique branch the lesser of it and the pair-first bound at the norms given.
+    when its preconditions hold and its closed-form guarantee beats the
+    others, none weaker than the theoretical floor paper_epsilon(d).  The
+    floor, the cluster bound and the split are theorems about unit vectors
+    (squared norms within 1 +/- 2e-9): off them the clustered branch
+    certifies approximate_point's bound, and the oblique branch the lesser
+    of it and the pair-first bound at the norms given.
 
-    The answer does not depend on the certificates: it is the exact
-    minimiser from min_signed_norm when n <= EXHAUSTIVE_FALLBACK_CAP, where
-    the split is tried only if its closed-form guarantee beats the others,
-    and above it the first best of the branch's portfolio (eliminate+greedy;
-    clustered on unit vectors: cluster-and-pair first; oblique: then
-    pair-first greedy, the projection split and randomly ordered greedy
-    passes, all greedy orders in one batched pass).
+    The answer is the exact minimiser from min_signed_norm when n <=
+    EXHAUSTIVE_FALLBACK_CAP, and above it the first best of the branch's
+    portfolio (eliminate+greedy; clustered on unit vectors: cluster-and-pair
+    first; oblique: then pair-first greedy, the projection split where its
+    guarantee was taken and randomly ordered greedy passes, all greedy
+    orders in one batched pass).
     """
     d, n = config.dim, config.n
     zeta = _zeta(d, zeta)
@@ -582,11 +577,11 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
                             d - _approximation_bound(rows) ** 2]
         splits = []
         # The split's plane basis takes a unit pair, and its bound vectors
-        # of norm at most 1.  Up to the cap only its guarantee can change
-        # the report; above it its signs join the portfolio.
+        # of norm at most 1.  It is tried only where its closed-form
+        # guarantee beats the other certificates, so sets the guarantee;
+        # above the cap its signs then also join the portfolio.
         if (d >= 3 and longest <= 1.0 + 2e-9
-                and (n > EXHAUSTIVE_FALLBACK_CAP
-                     or d - _split_guarantee(d, n, zeta)**2 > max(certificates))
+                and d - _split_guarantee(d, n, zeta)**2 > max(certificates)
                 and is_unit(rows[iu]) and is_unit(rows[iw])):
             try:
                 split = projection_split(config, pair=pair, zeta=zeta)

@@ -91,8 +91,8 @@ class PlaneBasis:
 
 
 def project_onto_plane(y, basis: PlaneBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Split y = z_in + z_perp with z_in in span{u, w} and z_perp orthogonal
-    to both basis vectors.  Solves the 2x2 normal equations directly."""
+    """Split y = z_in + z_perp, z_in in span{u, w} and z_perp orthogonal to
+    both, by the 2x2 normal equations; a stack splits each row as on its own."""
     g = basis.gram
     det = 1.0 - g * g
     if abs(g) >= 1.0 - 1e-12:
@@ -100,8 +100,8 @@ def project_onto_plane(y, basis: PlaneBasis) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     u = np.asarray(basis.u)
     w = np.asarray(basis.w)
-    yu = float(y @ u)
-    yw = float(y @ w)
+    yu = np.vecdot(y, u)[..., None]
+    yw = np.vecdot(y, w)[..., None]
     alpha = (yu - g * yw) / det
     beta = (yw - g * yu) / det
     z_in = alpha * u + beta * w

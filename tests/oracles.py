@@ -20,8 +20,9 @@ The bit-level oracles keep earlier forms of library kernels whose bits the
 library must still produce: ``doubling_sign_table`` and
 ``doubling_half_norms_sq`` build every table by concatenated doubling,
 ``scalar_eliminate_rows`` runs elimination on numpy scalars, clipping every
-coefficient each round, and ``loop_validation`` checks a configuration's
-rows one at a time.
+coefficient each round, ``loop_validation`` checks a configuration's
+rows one at a time, and ``loop_projection_split`` projects, checks and
+accumulates the split's other vectors one at a time.
 """
 
 import itertools
@@ -221,6 +222,49 @@ def split_always_balance(config, zeta=None, seed=0):
         achieved, signs = min(candidates, key=lambda c: c[0])  # the first of equal norms
         signs = SignAssignment(signs)
     return balancing.BalanceReport("parity_balance", signs, achieved, guarantee, "oblique")
+
+
+def loop_projection_split(config, lam, pair, zeta):
+    """projection_split on a given pair, one vector at a time: each other
+    vector's projection by its own 2x2 normal equations (scalar products
+    ``y @ u``, ``y @ w``) and length check in index order, its complement
+    coordinates by one matrix-vector product, and the in-plane residue
+    accumulated vector by vector."""
+    d = config.dim
+    rows = config.as_array()
+    lam_arr = np.zeros(config.n) if lam is None else np.asarray(lam, dtype=float)
+    iu, iw = pair
+    u, w = rows[iu], rows[iw]
+    g = float(np.dot(tuple(u.tolist()), tuple(w.tolist())))
+    if abs(g) >= 1.0 - 1e-12:
+        raise DegeneratePlane(f"|gram| = {abs(g)!r}")
+    others = [i for i in range(config.n) if i not in (iu, iw)]
+    bound = 2.0 * zeta**0.75
+    in_plane, perp = [], []
+    for i in others:
+        yu, yw = float(rows[i] @ u), float(rows[i] @ w)
+        z_in = (yu - g * yw) / (1.0 - g * g) * u + (yw - g * yu) / (1.0 - g * g) * w
+        length = float(np.linalg.norm(z_in))
+        if length > bound + 1e-12:
+            raise ProjectionTooLong(i, length, bound)
+        in_plane.append(z_in)
+        perp.append(rows[i] - z_in)
+    Q, _ = np.linalg.qr(np.column_stack([u, w]), mode="complete")
+    comp = Q[:, 2:]
+    perp_coords = np.array([comp.T @ z for z in perp]).reshape(len(others), d - 2)
+    signs = np.zeros(config.n, dtype=int)
+    signs[others] = balancing._approximate_rows(perp_coords, lam_arr[others])
+    residue = np.zeros(d)
+    for i, z_in in zip(others, in_plane):
+        residue += (lam_arr[i] + signs[i]) * z_in
+
+    def plane_sq(eu, ew):
+        cand = (lam_arr[iu] + eu) * u + (lam_arr[iw] + ew) * w + residue
+        return float(cand @ cand)
+
+    signs[[iu, iw]] = min(((1, 1), (1, -1), (-1, 1), (-1, -1)), key=lambda e: plane_sq(*e))
+    achieved = float(np.linalg.norm((lam_arr + signs) @ rows))
+    return achieved, tuple(signs.tolist())
 
 
 def min_approx_error_sq(config, lam):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signsum import balancing, core
@@ -46,6 +46,7 @@ from signsum.errors import (
 from oracles import (
     brute_min,
     greedy_pass,
+    loop_projection_split,
     min_approx_error_sq,
     scalar_eliminate_rows,
     serial_falsifier,
@@ -466,6 +467,35 @@ class TestProjectionSplit:
             (lam + np.array(report.signs.signs)) @ config.as_array()))
         assert report.achieved_norm <= report.guarantee + 1e-9
 
+    @settings(max_examples=150, deadline=None)
+    @given(d=st.integers(3, 6), n=st.integers(2, 14), seed=st.integers(0, 2**32 - 1),
+           zeta=st.sampled_from([None, 1e-3, 1e-6, 1e-10]), scale=st.sampled_from([0.5, 1.2, 3.0]),
+           with_lam=st.booleans())
+    @example(d=3, n=2, seed=0, zeta=None, scale=0.5, with_lam=False)
+    @example(d=5, n=2, seed=1, zeta=1e-6, scale=0.5, with_lam=True)
+    @example(d=3, n=8, seed=8, zeta=1e-6, scale=0.5, with_lam=False)  # coordinates +/-1 tie
+    def test_equals_the_per_vector_reference(self, d, n, seed, zeta, scale, with_lam):
+        """Near-plane inputs, n = 2 (no other vectors) included: the report's
+        achieved norm and signs equal oracles.loop_projection_split's to the
+        bit, or both raise ProjectionTooLong with the same index and length."""
+        z = default_zeta(d) if zeta is None else zeta
+        rng = np.random.default_rng(seed)
+        cos = float(rng.uniform(0.25, 0.75) * rng.choice([-1.0, 1.0]))
+        lengths = (2.0 * z**0.75 * rng.choice([0.2, 1.0, scale], n - 2)).tolist()
+        config = _near_plane_config(d, cos, lengths, seed)
+        lam = rng.uniform(-1.0, 1.0, n) if with_lam else None
+        try:
+            achieved, signs = loop_projection_split(config, lam, (0, 1), z)
+        except ProjectionTooLong as expected:
+            with pytest.raises(ProjectionTooLong) as info:
+                projection_split(config, lam, pair=(0, 1), zeta=zeta)
+            assert info.value.index == expected.index
+            assert info.value.length.hex() == expected.length.hex()
+            return
+        report = projection_split(config, lam, pair=(0, 1), zeta=zeta)
+        assert report.achieved_norm.hex() == achieved.hex()
+        assert report.signs.signs == signs
+
 
 class TestParityBalance:
     def test_two_dimensional_example(self):
@@ -579,12 +609,16 @@ class TestParityBalance:
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(2, 4), extra=st.integers(0, 3), seed=st.integers(0, 2**32 - 1),
            clustered=st.booleans(), scales=st.lists(st.floats(0.5, 1.1), min_size=10, max_size=10))
+    @example(d=2, extra=0, seed=2153, clustered=False, scales=[1.0, 1.0, 1.1] + [1.0] * 7)
+    @example(d=4, extra=1, seed=66549, clustered=False, scales=[1.0] * 5 + [1.1] + [1.0] * 4)
     def test_beck_certificates_recomputed(self, d, extra, seed, clustered, scales):
         """Beck inputs with norms in [0.5, 1.1] at mismatched parity, n <= 10:
         the branch and its guarantee recomputed here from the given norms
         (the cluster bound or the floor and the pair-first bound on unit
         vectors; otherwise the prefix law over the d longest vectors, or the
-        lesser of it and the pair-first sum), and achieved <= guarantee."""
+        lesser of it and the pair-first sum), and achieved <= guarantee.
+        A unit row scaled by 1.1 can round to 1.1000000000000003, so the
+        config admits norms up to 1.11."""
         n = d + 1 + 2 * min(extra, (9 - d) // 2)
         rng = np.random.default_rng(seed)
         if clustered:  # near-orthonormal clusters, norms in [0.9, 1.02]
@@ -596,7 +630,7 @@ class TestParityBalance:
             rows = random_unit_config(d, n, seed=seed).as_array()
             lengths = scales[:n]
         rows = rows * np.array(lengths)[:, None]
-        config = validate_config(rows, mode="beck", tolerance=0.1)
+        config = validate_config(rows, mode="beck", tolerance=0.11)
         report = parity_balance(config)
 
         alpha = default_zeta(d) ** 0.25
@@ -954,10 +988,9 @@ def _near_plane_config(d, cos, lengths, seed, scales=(1.0, 1.0)):
 
 
 class TestSplitPrecheck:
-    """Up to the cap parity_balance tries projection_split only where its
-    closed-form guarantee beats the other certificates, and above it always;
-    every report equals the one with the split tried wherever its premises
-    hold."""
+    """On both sides of the cap parity_balance tries projection_split only
+    where its closed-form guarantee beats the other certificates; every
+    report equals the one with the split tried wherever its premises hold."""
 
     @staticmethod
     def _lengths(d):
@@ -1000,7 +1033,8 @@ class TestSplitPrecheck:
 
     @staticmethod
     def _above_the_cap():
-        """n = 13-17, where the split's signs join the portfolio."""
+        """n = 13-17 at the default zeta, where the split never sets the
+        guarantee and so is never tried."""
         for d, n, seed in itertools.product((3, 4), (13, 14, 15, 17), range(2)):
             if n % 2 != d % 2:
                 bound = 2.0 * default_zeta(d) ** 0.75
@@ -1009,33 +1043,51 @@ class TestSplitPrecheck:
                     yield d, None, _near_plane_config(d, cos, lengths, seed)
                 yield d, None, random_unit_config(d, n, seed=seed)
 
+    @staticmethod
+    def _small_zeta_above_the_cap():
+        """n = 13-18 at zeta 1e-10 to 1e-14 with every in-plane length within
+        the split's bound, where the split sets the guarantee and its signs
+        join the portfolio."""
+        for k, (d, zeta) in enumerate(itertools.product((3, 4, 5), (1e-10, 1e-12, 1e-14))):
+            bound = 2.0 * zeta**0.75
+            for j, cos in enumerate((0.25, -0.4, 0.6)):
+                n = 13 + 2 * j + d % 2
+                lengths = [bound * (0.2 + 0.7 * ((i + j) % 4) / 3) for i in range(n - 2)]
+                yield d, zeta, _near_plane_config(d, cos, lengths, 30 + k)
+
     def test_reports_equal_the_split_always_oracle(self, monkeypatch):
         """Reports, guarantees to the bit and signs equal the oracle's, which
-        always tries the split; up to the cap at the default zeta the split
-        is never called, above it always."""
+        always tries the split.  On both sides of the cap the split is called
+        exactly where its certificate passes the floor and the pair-first
+        one, so never at the default zeta."""
         calls = []
         split = balancing.projection_split
         monkeypatch.setattr(balancing, "projection_split",
                             lambda *args, **kw: calls.append(1) or split(*args, **kw))
         cases = [(d, zeta, config) for zeta in (None, 1e-3, 1e-6) for d, config in self._cases()]
         cases += [*self._winning_cases(), *self._above_the_cap()]
-        wins = 0
-        for d, zeta, config in cases:
+        above = list(self._small_zeta_above_the_cap())
+        wins = above_wins = 0
+        for d, zeta, config in cases + above:
             calls.clear()
             report = parity_balance(config, zeta=zeta)
-            if config.n > balancing.EXHAUSTIVE_FALLBACK_CAP:
-                assert calls
-            elif zeta is None:
-                assert not calls
+            called = len(calls)
             assert report.case_taken == "oblique"
             expected = split_always_balance(config, zeta=zeta)
             assert report == expected
             assert report.guarantee.hex() == expected.guarantee.hex()
             rows = config.as_array()
-            iu, iw = detect_oblique(config, (zeta or default_zeta(d)) ** 0.25)
+            zeta = zeta or default_zeta(d)
+            iu, iw = detect_oblique(config, zeta**0.25)
             pair_first = d - (config.n - 2.0 * abs(float(rows[iu] @ rows[iw])))
-            wins += report.guarantee < math.sqrt(d - max(paper_epsilon(d), pair_first))
-        assert wins >= 60
+            others = max(paper_epsilon(d), pair_first)
+            assert called == (d - balancing._split_guarantee(d, config.n, zeta)**2 > others)
+            if zeta == default_zeta(d):
+                assert not called
+            won = report.guarantee < math.sqrt(d - others)
+            wins += won
+            above_wins += won and config.n > balancing.EXHAUSTIVE_FALLBACK_CAP
+        assert wins >= 60 + len(above) and above_wins == len(above) == 27
 
     def test_split_never_beats_the_pair_first_bound_at_the_default_zeta(self):
         """An oblique pair has |<u, w>| > zeta^(1/4), so at default_zeta(d)

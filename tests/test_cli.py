@@ -16,6 +16,7 @@ from signsum.jsonio import (
     config_from_obj,
     config_to_obj,
     load_config,
+    load_json,
     probability_from_string,
 )
 from signsum.constructions import random_unit_config
@@ -650,3 +651,77 @@ class TestFuzzedArguments:
     def test_config_from_obj_refuses_missing_keys_and_huge_integers(self, obj):
         with pytest.raises(ValueError):
             config_from_obj(obj)
+
+
+
+# JSON-like number tokens, valid or not: constants json accepts but load_json
+# refuses, literals past the float range, and non-numbers.
+_NUMBER = st.sampled_from(["0", "1", "-1", "0.6", "0.8", "-0.0", "1e-400", "NaN", "Infinity",
+                           "-Infinity", "1e999", "-1e999", "9" * 400, "-" + "9" * 400, "true",
+                           "false", "null", '"1"', '"x"', "1.5e", "--1"])
+
+
+def _listed(items):
+    return items.map(lambda texts: "[" + ", ".join(texts) + "]")
+
+
+_NESTED = st.recursive(_NUMBER, lambda inner: _listed(st.lists(inner, max_size=4)), max_leaves=8)
+# Unit rows of d = 2, and coefficients in [-1, 1] for n = 4, make some
+# drawn inputs valid.
+_CONFIG_TEXT = st.builds('{{"dim": 2, "vectors": {}}}'.format, _listed(
+    st.lists(st.sampled_from(["[1, 0]", "[0, -1]", "[0.6, 0.8]"]), min_size=1, max_size=9)))
+_CONFIG_TEXT |= st.builds('{{"dim": {}, "vectors": {}}}'.format, _NUMBER, _listed(
+    st.lists(_listed(st.lists(_NUMBER, max_size=3)) | _NUMBER, max_size=9))) | _NESTED
+_LAMBDA_TEXT = (_listed(st.lists(st.sampled_from(["0", "0.5", "-1"]), min_size=4, max_size=4))
+                | _listed(st.lists(_NUMBER, min_size=4, max_size=4)) | _NESTED)
+
+
+def _truncated(texts):
+    """Each text whole, or cut after a drawn number of characters."""
+    return st.tuples(texts, st.none() | st.integers(0, 500)).map(lambda pair: pair[0][:pair[1]])
+
+
+_JSON_FUZZ = settings(max_examples=100, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _readable(path):
+    """Whether load_json reads the file at ``path``; any exception but
+    ValueError (json.JSONDecodeError is one) propagates."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            load_json(fh)
+        except ValueError:
+            return False
+    return True
+
+
+class TestFuzzedJson:
+    """Files of JSON-like text, truncated or not, with NaN, Infinity, 1e999,
+    400-digit integers, nested lists, booleans and strings: load_json returns
+    or raises ValueError, and the commands that read such a file exit 0, 2
+    or 3, never with a traceback; an answer (exit 0) is a file that
+    load_json reads back."""
+
+    @_JSON_FUZZ
+    @given(text=_truncated(_CONFIG_TEXT))
+    def test_enumerate_config(self, workdir, text):
+        Path("c.json").write_text(text)
+        Path("out.json").unlink(missing_ok=True)
+        readable = _readable("c.json")
+        code = main(["enumerate", "--config", "c.json", "--r", "1", "--out", "out.json"])
+        assert code in (0, 2, 3), text
+        assert code == 2 or readable
+        assert code != 0 or _readable("out.json")
+
+    @_JSON_FUZZ
+    @given(text=_truncated(_LAMBDA_TEXT), algo=st.sampled_from(["greedy", "eliminate"]))
+    def test_balance_lambda(self, workdir, text, algo):
+        Path("lam.json").write_text(text)
+        Path("out.json").unlink(missing_ok=True)
+        readable = _readable("lam.json")
+        code = main(["balance", "--construct", "random:3:4", "--algo", algo,
+                     "--lambda", "lam.json", "--out", "out.json"])
+        assert code in (0, 2, 3), text
+        assert code == 2 or readable
+        assert code != 0 or _readable("out.json")

@@ -183,6 +183,27 @@ class TestPlaneProjection:
             float(z_in @ z_in) + float(z_perp @ z_perp), abs=1e-10
         )
 
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(2, 40), m=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-9, 1e-3, 1.0, 1e3]))
+    def test_stacked_rows_split_as_single_vectors(self, d, m, seed, scale):
+        """Each row of a stacked call equals the single-vector call bit for
+        bit, whether the stack is an array or (m >= 1) nested lists."""
+        rng = np.random.default_rng(seed)
+        u, w = rng.standard_normal((2, d))
+        basis = PlaneBasis.from_vectors(u / np.linalg.norm(u), w / np.linalg.norm(w))
+        ys = scale * rng.standard_normal((m, d))
+        z_in, z_perp = project_onto_plane(ys, basis)
+        assert z_in.shape == z_perp.shape == (m, d)
+        if m:  # an empty list carries no dimension
+            listed = project_onto_plane(ys.tolist(), basis)
+            assert listed[0].tobytes() == z_in.tobytes()
+            assert listed[1].tobytes() == z_perp.tobytes()
+        for y, row_in, row_perp in zip(ys, z_in, z_perp):
+            one_in, one_perp = project_onto_plane(y, basis)
+            assert one_in.tobytes() == row_in.tobytes()
+            assert one_perp.tobytes() == row_perp.tobytes()
+
     def test_degenerate_plane(self):
         with pytest.raises(DegeneratePlane):
             PlaneBasis.from_vectors((1, 0), (1, 0))
