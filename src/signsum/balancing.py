@@ -19,10 +19,11 @@ The toolbox, roughly in order of sophistication:
 * ``projection_split``   -- when an oblique pair u, w exists and the other
   vectors barely touch the plane spanned by u and w, balance the plane and
   its orthogonal complement separately.
-* ``parity_balance``     -- the combined dispatcher: the branch (fallback,
-  clustered or oblique) sets the certified guarantee; the answer is the
-  exact minimiser up to n = EXHAUSTIVE_FALLBACK_CAP in every branch and the
-  best of the branch's heuristic portfolio above it.
+* ``parity_balance``     -- the combined dispatcher: one table of named
+  certificates, the least of their bounds sets the guarantee and the report
+  names it; the answer is the exact minimiser up to n =
+  EXHAUSTIVE_FALLBACK_CAP in every branch and the best of the branch's
+  heuristic portfolio above it.
 * ``approximation_falsifier`` -- adversarial coordinate ascent looking for a
   zonotope point whose best sign approximation is worse than a target.
 """
@@ -69,13 +70,16 @@ GREEDY_ORDERS = 32
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """Outcome of one balancing algorithm, with the bound it must meet."""
+    """Outcome of one balancing algorithm, with the bound it must meet.
+    ``certificate`` names the certificate that set the guarantee; only
+    parity_balance sets it."""
 
     algorithm: str
     signs: SignAssignment
     achieved_norm: float
     guarantee: float
     case_taken: str | None = None
+    certificate: str | None = None
 
     def __post_init__(self):
         if not self.achieved_norm <= self.guarantee + REPORT_SLACK:
@@ -290,10 +294,10 @@ def _approximate_rows(rows: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
 
 def _approximation_bound(rows: np.ndarray) -> float:
-    """The prefix law over the d longest rows: elimination leaves at most d
-    fractional coordinates, and greedy adds at most (1 - lam_i^2) ||v_i||^2
-    for each of them; sqrt(d) for unit vectors."""
-    return math.sqrt(sum(sorted(np.vecdot(rows, rows).tolist())[-rows.shape[1]:]))
+    """The prefix law over the d longest rows, squared: elimination leaves at
+    most d fractional coordinates, and greedy adds at most (1 - lam_i^2)
+    ||v_i||^2 for each of them; d for unit vectors."""
+    return sum(sorted(np.vecdot(rows, rows).tolist())[-rows.shape[1]:])
 
 
 def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
@@ -305,7 +309,7 @@ def approximate_point(config: VectorConfig, lam=None) -> BalanceReport:
     rows = config.as_array()
     lam_arr = _as_lambda(config, lam)
     return _report("approximate_point", rows, lam_arr, _approximate_rows(rows, lam_arr),
-                   _approximation_bound(rows))
+                   math.sqrt(_approximation_bound(rows)))
 
 
 def _oblique_pair(gram: np.ndarray, alpha: float):
@@ -387,8 +391,9 @@ def _clusters(config: VectorConfig, gram: np.ndarray, alpha: float) -> Clusterin
     return Clustering(clusters, representatives, tuple(orientation.tolist()))
 
 
-def _cluster_guarantee(d: int, zeta: float) -> float:
-    return math.sqrt(d - 1 + 2.0 * d * zeta**0.25)
+def _cluster_bound(d: int, zeta: float) -> float:
+    """cluster_and_pair's bound on the squared norm."""
+    return d - 1 + 2.0 * d * zeta**0.25
 
 
 def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> BalanceReport:
@@ -436,7 +441,7 @@ def cluster_and_pair(config: VectorConfig, zeta: float | None = None) -> Balance
         signs[seconds] = flip * pair_signs
         signs[firsts] = -flip * pair_signs
     return _report("cluster_pair", rows, 0.0, signs * orientation,
-                   _cluster_guarantee(d, zeta), "clustered")
+                   math.sqrt(_cluster_bound(d, zeta)), "clustered")
 
 
 def projection_split(
@@ -516,82 +521,73 @@ def paper_epsilon(d: int) -> float:
 
 
 def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 0) -> BalanceReport:
-    """Combined sign balancer for unit vectors.
+    """Combined sign balancer.  Each certificate bounds the least squared
+    norm; the guarantee is the root of the least bound, and ``certificate``
+    names it, the first of equal bounds in this order winning:
 
-    The branch sets the guarantee.  With n and d of equal parity nothing
-    beats sqrt(d) in general, so the fallback branch certifies
-    approximate_point's bound: sqrt(d) for unit vectors, the prefix law over
-    the d longest vectors in beck mode.  Otherwise the structure dichotomy
-    dispatches to sqrt(d - eps), eps the strongest certificate of the
-    branch: no oblique pair -> the cluster bound of cluster_and_pair; an
-    oblique pair -> the pair-first greedy bound and the projection split
-    when its preconditions hold and its closed-form guarantee beats the
-    others, none weaker than the theoretical floor paper_epsilon(d).  The
-    floor, the cluster bound and the split are theorems about unit vectors
-    (squared norms within 1 +/- 2e-9): off them the clustered branch
-    certifies approximate_point's bound, and the oblique branch the lesser
-    of it and the pair-first bound at the norms given.
+    * "prefix law": approximate_point's sum of the d largest ||v_i||^2, at
+      matched parity (where nothing beats sqrt(d) in general) and on any
+      input that is not all unit vectors;
+    * "floor": d - paper_epsilon(d), on unit inputs at mismatched parity;
+    * "cluster": cluster_and_pair's d - 1 + 2 d zeta^(1/4), on unit inputs
+      with no oblique pair; the clustering still raises when its
+      preconditions fail;
+    * "pair-first": with an oblique pair u, w, greedy visiting u and w first
+      reaches ||u||^2 + ||w||^2 - 2|<u, w>| exactly, and each later step adds
+      at most ||v_i||^2: n - 2|<u, w>| on unit inputs, sum ||v_i||^2 -
+      2|<u, w>| otherwise;
+    * "projection split": projection_split's bound, tried only when it is
+      below every bound before it, on a unit pair with no vector longer than 1.
+
+    Unit inputs have squared norms within 1 +/- 2e-9.  case_taken names the
+    branch: "fallback" at matched parity, else "clustered" or "oblique" as
+    there is no zeta^(1/4)-oblique pair or one.
 
     The answer is the exact minimiser from min_signed_norm when n <=
     EXHAUSTIVE_FALLBACK_CAP, and above it the first best of the branch's
     portfolio (eliminate+greedy; clustered on unit vectors: cluster-and-pair
     first; oblique: then pair-first greedy, the projection split where its
-    guarantee was taken and randomly ordered greedy passes, all greedy
+    certificate was taken and randomly ordered greedy passes, all greedy
     orders in one batched pass).
     """
     d, n = config.dim, config.n
     zeta = _zeta(d, zeta)
-    eps_floor = paper_epsilon(d)
     rows = config.as_array()
     squares = np.vecdot(rows, rows).tolist()
-    longest = max(squares)
-    unit = longest <= 1.0 + 2e-9 and min(squares) >= 1.0 - 2e-9
-
-    scan = None if n % 2 == d % 2 else _oblique_scan(config, zeta**0.25)
-    if scan is None or (scan[1] is None and not unit):
-        # approximate_point's bound, which the exact minimiser can only beat.
-        case = "fallback" if scan is None else "clustered"
-        guarantee = _approximation_bound(rows)
-        portfolio = lambda: [approximate_point(config)]
-    elif scan[1] is None:
-        # The cluster bound is closed form; the clustering still raises when
-        # its preconditions fail, and cluster_and_pair runs only above the cap.
-        _check_cluster_zeta(zeta)
-        _clusters(config, scan[0], zeta**0.25)
-        case = "clustered"
-        guarantee = math.sqrt(d - max(eps_floor, d - _cluster_guarantee(d, zeta)**2))
-        portfolio = lambda: [cluster_and_pair(config, zeta), approximate_point(config)]
+    unit = max(squares) <= 1.0 + 2e-9 and min(squares) >= 1.0 - 2e-9
+    gram, pair = (None, None) if n % 2 == d % 2 else _oblique_scan(config, zeta**0.25)
+    case = "fallback" if gram is None else "clustered" if pair is None else "oblique"
+    bounds = {}  # certificate -> its bound on the least squared norm, in the tie order
+    if case == "fallback" or not unit:
+        bounds["prefix law"] = _approximation_bound(rows)
     else:
-        # Pair-first greedy: the second step achieves ||u||^2 + ||w||^2 -
-        # 2|<u, w>| exactly, each later step adds at most ||v_i||^2 to the
-        # squared norm; the exact minimiser can only do better.  For unit
-        # vectors that is n - 2|<u, w>|, and a bound past sqrt(d) loses to
-        # the floor in max().
-        iu, iw = pair = scan[1]
-        case = "oblique"
+        bounds["floor"] = d - paper_epsilon(d)
+    if case == "clustered" and unit:
+        # Closed form, but the clustering still raises when its preconditions fail.
+        _check_cluster_zeta(zeta)
+        _clusters(config, gram, zeta**0.25)
+        bounds["cluster"] = _cluster_bound(d, zeta)
+    splits = []
+    if case == "oblique":
+        iu, iw = pair
         inner = abs(float(rows[iu] @ rows[iw]))
-        if unit:
-            certificates = [eps_floor, d - (n - 2.0 * inner)]
-        else:
-            certificates = [d - (float(np.sum(squares)) - 2.0 * inner),
-                            d - _approximation_bound(rows) ** 2]
-        splits = []
-        # The split's plane basis takes a unit pair, and its bound vectors
-        # of norm at most 1.  It is tried only where its closed-form
-        # guarantee beats the other certificates, so sets the guarantee;
-        # above the cap its signs then also join the portfolio.
-        if (d >= 3 and longest <= 1.0 + 2e-9
-                and d - _split_guarantee(d, n, zeta)**2 > max(certificates)
+        bounds["pair-first"] = (n if unit else float(np.sum(squares))) - 2.0 * inner
+        if (d >= 3 and max(squares) <= 1.0 + 2e-9
+                and _split_guarantee(d, n, zeta)**2 < min(bounds.values())
                 and is_unit(rows[iu]) and is_unit(rows[iw])):
             try:
-                split = projection_split(config, pair=pair, zeta=zeta)
-                certificates.append(d - split.guarantee**2)
-                splits.append(split)
+                splits.append(projection_split(config, pair=pair, zeta=zeta))
+                bounds["projection split"] = splits[0].guarantee**2
             except (ProjectionTooLong, NotOblique, DegeneratePlane):
                 pass  # the split is an optional certificate
-        guarantee = math.sqrt(d - max(certificates))
+    certificate = min(bounds, key=bounds.get)
 
-        def portfolio():
+    if n <= EXHAUSTIVE_FALLBACK_CAP:
+        achieved, signs = min_signed_norm(config)
+    else:
+        portfolio = [cluster_and_pair(config, zeta)] if "cluster" in bounds else []
+        portfolio.append(approximate_point(config))
+        if case == "oblique":
             # The pair-first order runs in one batched pass with the random
             # orders; a repeated sign row cannot win.
             bound = _prefix_bound(rows)
@@ -600,21 +596,12 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
             orders += [rng.permutation(n) for _ in range(GREEDY_ORDERS - 1)]
             distinct = {s.tobytes(): s for s in _greedy_rows(rows, np.zeros(n), orders)[0]}
             greedy = [_report("greedy", rows, 0.0, s, bound) for s in distinct.values()]
-            return [approximate_point(config), greedy[0], *splits, *greedy[1:]]
-
-    if n <= EXHAUSTIVE_FALLBACK_CAP:
-        achieved, signs = min_signed_norm(config)
-    else:
+            portfolio += [greedy[0], *splits, *greedy[1:]]
         # min keeps the first of equal norms, as a strict < scan would.
-        best = min(portfolio(), key=lambda report: report.achieved_norm)
+        best = min(portfolio, key=lambda report: report.achieved_norm)
         achieved, signs = best.achieved_norm, best.signs
-    return BalanceReport(
-        algorithm="parity_balance",
-        signs=signs,
-        achieved_norm=achieved,
-        guarantee=guarantee,
-        case_taken=case,
-    )
+    return BalanceReport("parity_balance", signs, achieved, math.sqrt(bounds[certificate]),
+                         case, certificate)
 
 
 _ASCENT_LADDER = (0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008, 0.004, 0.002, 0.001)

@@ -166,9 +166,10 @@ def cmd_balance(args, argv) -> int:
     else:  # parity, auto
         report = balancing.parity_balance(config, zeta=args.zeta, seed=args.seed)
     _emit_result(args, argv, jsonio.balance_to_obj(report), input_path)
+    certificate = f", certificate {report.certificate}" if report.certificate else ""
     print(
         f"{report.algorithm}: achieved {report.achieved_norm:.12g} "
-        f"(guarantee {report.guarantee:.12g})",
+        f"(guarantee {report.guarantee:.12g}{certificate})",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -187,7 +187,8 @@ def split_always_balance(config, zeta=None, seed=0):
     """parity_balance on unit vectors with an oblique pair, trying
     projection_split wherever its premises hold (d >= 3 and a unit pair;
     no vector is longer than 1 + 2e-9) whether or not it can set the guarantee:
-    sqrt(d - max(floor, pair-first, split)), and the exact minimiser up to
+    the root of the least of the floor, pair-first and split bounds on the
+    squared norm, the first of equal bounds named, and the exact minimiser up to
     EXHAUSTIVE_FALLBACK_CAP, above it the first best of approximate_point,
     the pair-first greedy pass, the split and GREEDY_ORDERS - 1 random
     greedy passes."""
@@ -196,7 +197,8 @@ def split_always_balance(config, zeta=None, seed=0):
     rows = config.as_array()
     assert all(abs(float(row @ row) - 1.0) <= 2e-9 for row in rows), "unit vectors only"
     iu, iw = balancing.detect_oblique(config, zeta**0.25)
-    certificates = [balancing.paper_epsilon(d), d - (n - 2.0 * abs(float(rows[iu] @ rows[iw])))]
+    bounds = {"floor": d - balancing.paper_epsilon(d),
+              "pair-first": n - 2.0 * abs(float(rows[iu] @ rows[iw]))}
     splits = []
     if d >= 3 and is_unit(rows[iu]) and is_unit(rows[iw]):
         try:
@@ -204,9 +206,9 @@ def split_always_balance(config, zeta=None, seed=0):
         except (ProjectionTooLong, NotOblique, DegeneratePlane):
             pass
         else:
-            certificates.append(d - split.guarantee**2)
+            bounds["projection split"] = split.guarantee**2
             splits.append((split.achieved_norm, split.signs.signs))
-    guarantee = math.sqrt(d - max(certificates))
+    certificate = min(bounds, key=bounds.get)
     if n <= balancing.EXHAUSTIVE_FALLBACK_CAP:
         achieved, signs = min_signed_norm(config)
     else:
@@ -221,7 +223,8 @@ def split_always_balance(config, zeta=None, seed=0):
         candidates = [(approx.achieved_norm, approx.signs.signs), greedy[0], *splits, *greedy[1:]]
         achieved, signs = min(candidates, key=lambda c: c[0])  # the first of equal norms
         signs = SignAssignment(signs)
-    return balancing.BalanceReport("parity_balance", signs, achieved, guarantee, "oblique")
+    return balancing.BalanceReport("parity_balance", signs, achieved,
+                                   math.sqrt(bounds[certificate]), "oblique", certificate)
 
 
 def loop_projection_split(config, lam, pair, zeta):

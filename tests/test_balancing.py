@@ -515,7 +515,8 @@ class TestParityBalance:
         assert report == BalanceReport(algorithm="parity_balance",
                                        signs=SignAssignment((1, -1, 1, 1)),
                                        achieved_norm=1.4142135623730951,
-                                       guarantee=1.6854958959468618, case_taken="clustered")
+                                       guarantee=1.6854958959468618, case_taken="clustered",
+                                       certificate="cluster")
 
     def test_tight_family_is_matched_exactly(self):
         report = parity_balance(construct_tight_family())
@@ -642,12 +643,16 @@ class TestParityBalance:
         if not pairs:
             assert report.case_taken == "clustered"
             expected = d - 1 + 2 * d * alpha if unit else prefix
+            name = "cluster" if unit else "prefix law"
         else:
             assert report.case_taken == "oblique"
             i, j = pairs[0]
             pair_first = sum(squares) - 2 * abs(float(rows[i] @ rows[j]))
             expected = min(pair_first, d if unit else prefix)
+            name = ("pair-first" if pair_first < (d if unit else prefix)
+                    else "floor" if unit else "prefix law")
         assert report.guarantee == pytest.approx(math.sqrt(expected), rel=1e-12)
+        assert report.certificate == name
         assert report.achieved_norm <= report.guarantee
         assert report.achieved_norm == min_signed_norm(config)[0]
 
@@ -1079,12 +1084,15 @@ class TestSplitPrecheck:
             rows = config.as_array()
             zeta = zeta or default_zeta(d)
             iu, iw = detect_oblique(config, zeta**0.25)
-            pair_first = d - (config.n - 2.0 * abs(float(rows[iu] @ rows[iw])))
+            pair_bound = config.n - 2.0 * abs(float(rows[iu] @ rows[iw]))
+            pair_first = d - pair_bound
             others = max(paper_epsilon(d), pair_first)
             assert called == (d - balancing._split_guarantee(d, config.n, zeta)**2 > others)
             if zeta == default_zeta(d):
                 assert not called
-            won = report.guarantee < math.sqrt(d - others)
+            # The guarantee is the root of the least bound, taken once.
+            won = report.guarantee < math.sqrt(min(d - paper_epsilon(d), pair_bound))
+            assert (report.certificate == "projection split") == won
             wins += won
             above_wins += won and config.n > balancing.EXHAUSTIVE_FALLBACK_CAP
         assert wins >= 60 + len(above) and above_wins == len(above) == 27
@@ -1111,3 +1119,84 @@ class TestSplitPrecheck:
             config = random_unit_config(d, 2 * (seed % 4) + 4 + (d == 4), seed=seed)
             assert parity_balance(config).case_taken == "oblique"
         assert calls == []
+
+
+class TestCertificateTable:
+    """parity_balance's guarantee is the root of its named certificate's
+    bound on the squared norm, so where a balancer proves that certificate
+    for its own signs, the guarantee is that balancer's own, bit for bit."""
+
+    @staticmethod
+    def _clustered_cases():
+        """Unit orthonormal multiplicities of mismatched parity, jittered by
+        1e-4 and with random signs: clustered at every zeta used here."""
+        for zeta in (1e-6, 1e-10):
+            yield validate_config([(1,), (-1,)]), zeta
+        for d, seed, zeta in itertools.product(range(1, 6), range(4), (None, 1e-6, 1e-10)):
+            rng = np.random.default_rng([d, seed])
+            n = d + 1 + 2 * seed
+            rows = np.repeat(np.eye(d), rng.multinomial(n, [1.0 / d] * d), axis=0)
+            rows += 1e-4 * rng.standard_normal(rows.shape)
+            rows *= rng.choice([-1.0, 1.0], (n, 1)) / np.linalg.norm(rows, axis=1, keepdims=True)
+            yield validate_config(rows), zeta
+
+    def test_cluster_is_cluster_and_pairs_guarantee(self):
+        for config, zeta in self._clustered_cases():
+            report = parity_balance(config, zeta=zeta)
+            assert (report.case_taken, report.certificate) == ("clustered", "cluster")
+            assert report.guarantee == cluster_and_pair(config, zeta).guarantee
+        # The single rounding of sqrt(2 zeta^(1/4)); taking it as
+        # sqrt(1 - (1 - 2 zeta^(1/4))) gave 0.07952707287670477.
+        pair = validate_config([(1,), (-1,)])
+        assert parity_balance(pair, zeta=1e-10).guarantee == 0.07952707287670507
+
+    def test_projection_split_is_the_splits_guarantee(self):
+        wins = 0
+        for d, zeta, config in TestSplitPrecheck._winning_cases():
+            report = parity_balance(config, zeta=zeta)
+            if report.certificate == "projection split":
+                split = projection_split(config, pair=detect_oblique(config, zeta**0.25),
+                                         zeta=zeta)
+                assert report.guarantee == split.guarantee
+                wins += 1
+        assert wins >= 60
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_prefix_law_at_matched_parity_is_approximate_points_guarantee(self, d):
+        for n, scale in itertools.product(range(2 - d % 2, 17, 2), (1.0, 0.7, 1.05)):
+            config = validate_config(scale * random_unit_config(d, n, seed=n).as_array(),
+                                     mode="beck", tolerance=0.1)
+            report = parity_balance(config)
+            assert (report.case_taken, report.certificate) == ("fallback", "prefix law")
+            assert report.guarantee == approximate_point(config).guarantee
+
+    def test_floor_is_sqrt_d(self):
+        """Random unit inputs with n >= d + 3, where the pair-first bound
+        passes d, and a clustered input whose cluster bound does at zeta =
+        0.0016."""
+        cases = [(random_unit_config(d, n, seed=n), None)
+                 for d in range(2, 6) for n in range(d + 3, d + 12, 2)]
+        cases.append((validate_config([(1, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]), 0.0016))
+        for config, zeta in cases:
+            report = parity_balance(config, zeta=zeta)
+            assert report.certificate == "floor"
+            assert report.guarantee == math.sqrt(config.dim)
+
+    def test_ties_go_to_the_earlier_certificate(self):
+        """b3.json: the pair-first bound and the prefix law over the 3
+        longest vectors are equal to the bit, and the prefix law comes first."""
+        config = validate_config([(1.05, 0, 0), (0.525, 0.9093266739736605, 0),
+                                  (0, 0, 1.05), (0, 1.05, 0)], mode="beck", tolerance=0.1)
+        rows = config.as_array()
+        squares = np.vecdot(rows, rows).tolist()
+        pair_first = float(np.sum(squares)) - 2.0 * abs(float(rows[0] @ rows[1]))
+        assert pair_first == sum(sorted(squares)[-3:])
+        report = parity_balance(config)
+        assert (report.case_taken, report.certificate) == ("oblique", "prefix law")
+        assert report.guarantee == math.sqrt(pair_first) == 1.8186533479473213
+
+    def test_only_parity_balance_names_a_certificate(self):
+        config = random_unit_config(3, 4, seed=0)
+        assert greedy_signs(config).certificate is None
+        assert approximate_point(config).certificate is None
+        assert parity_balance(config).certificate is not None

@@ -456,6 +456,20 @@ class TestBalanceCommand:
         assert result["case_taken"] == "oblique"
         assert float(result["achieved_norm"]) <= float(result["guarantee"])
 
+    def test_summary_names_the_certificate(self, workdir, capsys):
+        """parity and auto name the certificate that set the guarantee on
+        stderr; the JSON result has no such key."""
+        assert main(["construct", "random:3:4", "--seed", "0", "--out", "c.json"]) == 0
+        for algo in ("parity", "auto"):
+            capsys.readouterr()
+            assert main(["balance", "--config", "c.json", "--algo", algo, "--out", "b.json"]) == 0
+            err = capsys.readouterr().err
+            assert err.startswith("parity_balance: achieved ")
+            assert err.endswith(", certificate pair-first)\n")
+            assert "certificate" not in json.load(open("b.json"))["result"]
+        assert main(["balance", "--config", "c.json", "--algo", "greedy"]) == 0
+        assert "certificate" not in capsys.readouterr().err
+
 
 class TestFalsifyCommand:
     def test_witness_emitted(self, workdir):

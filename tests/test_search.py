@@ -163,23 +163,30 @@ class TestLockstep:
             SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12, target=1.336))
         assert result.exceeded_target and 1 < len(result.history) < 8
 
-    def test_block_memory_within_lockstep_budget(self):
+    @pytest.fixture(scope="class")
+    def traced_search(self):
+        """One d = 3, n = 4 search of 455 restarts, traced: its result, what
+        it leaves allocated, and its peak.  The caches fill outside."""
+        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))
+        tracemalloc.start()
+        try:
+            result = maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, kept, peak
+
+    def test_block_memory_within_lockstep_budget(self, traced_search):
         """A block's restarts share LOCKSTEP_BYTES between their round's sums
         and their window draws.  A round scores its sums through two more
         arrays as large, the update's product and the squares, so the peak
         stays within 3 * LOCKSTEP_BYTES however many restarts run.  Here the
         sums alone would fit 170 restarts of d = 3, n = 4 in a block, and
         their windows would hold another 3.7 MiB."""
-        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))  # caches fill outside
-        tracemalloc.start()
-        try:
-            maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_search
         assert peak <= 3 * search.LOCKSTEP_BYTES
 
-    def test_block_peak_within_lockstep_bytes(self):
+    def test_block_peak_within_lockstep_bytes(self, traced_search):
         """A block's transient memory fits LOCKSTEP_BYTES.  The block size
         counts the two (R, K, d, 2^(n-1)) arrays a round builds, its sums (the
         update is added in place) and their squares, and 18 + 24d bytes a step
@@ -191,13 +198,7 @@ class TestLockstep:
         before the next is drawn.  The allowance is what the call leaves
         allocated, the result with its 455 traces, which grows with the
         restarts and not with a block."""
-        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))  # caches fill outside
-        tracemalloc.start()
-        try:
-            result = maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        result, kept, peak = traced_search
         assert len(result.history) == 455
         assert peak <= search.LOCKSTEP_BYTES + kept
 
