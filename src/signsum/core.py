@@ -42,10 +42,11 @@ ENUMERATION_CAP = 30
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
-# Sums per chunk of the split-table kernel.  A chunk, its masks and its exact
-# rechecks are the only buffers that grow with the 2^n sums; at 2^10 they
-# stay in cache and cap what one chunk of exact ties can cost in memory.
-_CHUNK = 1 << 10
+# Sums per chunk of the split-table kernel.  A chunk, its term buffer, masks
+# and exact rechecks are the only buffers that grow with the 2^n sums; at 2^11
+# the per-chunk numpy calls are a small share of the arithmetic, and the
+# buffers stay in cache and cap what one chunk of exact ties can cost.
+_CHUNK = 1 << 11
 
 _MODES = ("strict", "beck")
 
@@ -224,18 +225,17 @@ def _sign_matrix(k: int) -> np.ndarray:
 def sign_columns(rows: np.ndarray) -> np.ndarray:
     """All 2^k signed sums of the k rows, a new component-major (d, 2^k) array
     of ``rows.dtype`` (exact on Python ints): column m has eta_i = -1 iff bit
-    k-1-i of m is set.  One sequential add.accumulate over cached int8 signs
-    sums the first min(k, 6) terms in the doubling's order (last row first;
-    six bound its transient), and the other rows double in place.  eta * v is
-    exact, x + (-v) is x - v, and the zero row turns an all-(-0.0) sum into
-    +0.0: the doubling's bits."""
+    k-1-i of m is set.  One add.reduce over the outer axis of cached int8
+    signs times the first min(k, 6) rows, last row first, adds them to the
+    zero row in the doubling's order (six bound its transient), and the other
+    rows double in place.  eta * v is exact, x + (-v) is x - v, and starting
+    from the zero row turns an all-(-0.0) sum into +0.0: the doubling's bits."""
     k, d = rows.shape
     j = min(k, 6)
     terms = _sign_matrix(j)[:, None, :] * rows[::-1][:j, :, None]
     table = np.empty((d, 1 << k), dtype=rows.dtype)
     size = 1 << j
-    last = np.add.accumulate(terms, out=terms)[-1:]  # empty when k = 0
-    np.add.reduce(last, axis=0, initial=0, out=table[:, :size])  # on the zero row
+    np.add.reduce(terms, axis=0, initial=0, out=table[:, :size])
     for row in rows[: k - j][::-1, :, None]:
         np.subtract(table[:, :size], row, out=table[:, size : 2 * size])
         table[:, :size] += row
@@ -247,16 +247,23 @@ def half_norms_sq(rows: np.ndarray):
     """Chunks of _CHUNK norms^2 of every signed sum with eta_1 = +1 (the
     first half) in lexicographic order: head v_1 + ``sign_columns`` of the
     rows up to the split, tail ``sign_columns`` of the rest, and each chunk
-    of head[:, a] + tail[:, b] in ascending a * 2^k + b squared and summed
-    over the components in index order: the doubling's bits."""
+    of head[:, a] + tail[:, b] in ascending a * 2^k + b.  A chunk is built
+    one component at a time: head + tail into one reused term buffer, squared
+    there, and added into a fresh chunk in index order: the doubling's bits
+    at every n, with no (d, a, b) block of sums or squares."""
     split = (len(rows) + 1) // 2
     head, tail = sign_columns(rows[1:split]) + rows[0][:, None], sign_columns(rows[split:])
-    per_chunk = max(1, _CHUNK // tail.shape[1])  # every chunk is full unless it is the only one
-    width = min(tail.shape[1], _CHUNK)
-    for a in range(0, head.shape[1], per_chunk):
-        for b in range(0, tail.shape[1], width):
-            sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
-            yield (sums * sums).sum(axis=0).ravel()
+    # Every chunk is full unless it is the only one, so one term buffer serves them all.
+    p, w = min(head.shape[1], max(1, _CHUNK // tail.shape[1])), min(tail.shape[1], _CHUNK)
+    term = np.empty((p, w), dtype=head.dtype)
+    for a in range(0, head.shape[1], p):
+        for b in range(0, tail.shape[1], w):
+            h, t = head[:, a : a + p, None], tail[:, None, b : b + w]
+            norm_sq = np.square(np.add(h[0], t[0], out=term))  # the fresh chunk
+            for j in range(1, len(h)):
+                norm_sq += np.square(np.add(h[j], t[j], out=term), out=term)
+            yield norm_sq.ravel()
+            del norm_sq  # the caller alone decides when the chunk is freed
 
 
 def check_enumerable(n: int):
@@ -430,22 +437,24 @@ def _walk_float(rows: np.ndarray, radius, tolerance: float):
         # A sum in the band has |norm^2 - r^2| <= threshold - r^2, rounding
         # being monotone; most chunks have none and skip both scans.
         width = threshold - radius_sq
+    gaps = None  # one buffer for every chunk's |norm^2 - r^2|
     for chunk, norm_sq in enumerate(half_norms_sq(rows)):
         if radius is not None:
             hits += 2 * int(np.count_nonzero(norm_sq <= threshold))
-            gaps = np.abs(norm_sq - radius_sq)
+            gaps = np.abs(np.subtract(norm_sq, radius_sq, out=gaps), out=gaps)
             least = gaps.min()
             if least <= width:
                 band += 2 * int(np.count_nonzero((norm_sq > radius_sq) & (norm_sq <= threshold)))
             if least <= tolerance:
-                gaps = gaps[gaps > tolerance]
-                least = gaps.min() if gaps.size else None
+                outside = gaps[gaps > tolerance]
+                least = outside.min() if outside.size else None
             if least is not None and (margin is None or least < margin):
                 margin = float(least)
         i = int(np.argmin(norm_sq))
         # Strict < keeps the earliest, hence lexicographically first, minimiser.
         if best is None or norm_sq[i] < best:
             best, index = norm_sq[i], chunk * _CHUNK + i
+        del norm_sq  # before the next chunk is formed
     return hits, band, margin, math.sqrt(best), index
 
 

@@ -41,7 +41,7 @@ from signsum.errors import (
 )
 from signsum.geometry import is_unit
 
-_CHUNK = 1 << 10
+_CHUNK = 1 << 11  # the kernel's chunk size, restated so that no oracle calls core
 
 
 def loop_validation(vectors, dim, mode, tolerance):
@@ -72,9 +72,11 @@ def doubling_sign_table(rows):
 
 
 def doubling_half_norms_sq(rows):
-    """Chunks of 2^10 norms^2 of the eta_1 = +1 half in lexicographic
+    """Chunks of _CHUNK norms^2 of the eta_1 = +1 half in lexicographic
     order: v_1 plus a doubled head, a doubled tail, both transposed to
-    component-major copies, and each chunk's squares summed over axis 0."""
+    component-major copies, and each chunk's squares added one component at
+    a time in index order (a sum over axis 0 is pairwise when it is the only
+    axis longer than 1, as at n = 1)."""
     split = (len(rows) + 1) // 2
     head = (rows[0] + doubling_sign_table(rows[1:split])).T.copy()
     tail = doubling_sign_table(rows[split:]).T.copy()
@@ -83,7 +85,10 @@ def doubling_half_norms_sq(rows):
     for a in range(0, head.shape[1], per_chunk):
         for b in range(0, tail.shape[1], width):
             sums = head[:, a : a + per_chunk, None] + tail[:, None, b : b + width]
-            yield (sums * sums).sum(axis=0).ravel()
+            norm_sq = sums[0] * sums[0]
+            for component in sums[1:]:
+                norm_sq = norm_sq + component * component
+            yield norm_sq.ravel()
 
 
 def scalar_eliminate_rows(rows, values, k, snap=5e-13):

@@ -161,6 +161,19 @@ class TestMinSignedNorm:
         assert enumerate_signed_sums(config, 1.0).min_norm == value
 
 
+@pytest.mark.parametrize("d", range(8, 30))
+def test_single_vector_norm_sq_in_component_order(d):
+    """At n = 1 each norm^2 adds the squares in component order, as the
+    Python loop does, not pairwise as a sum over the length-d axis would."""
+    vectors = np.random.default_rng(d).standard_normal((20, d))
+    for row in vectors / np.linalg.norm(vectors, axis=1)[:, None]:
+        expected = 0.0
+        for x in row.tolist():
+            expected += x * x
+        assert [c.tolist() for c in core.half_norms_sq(row[None, :])] == [[expected]]
+        assert min_signed_norm(validate_config([row.tolist()]))[0] == math.sqrt(expected)
+
+
 def _cross_check(config, radius):
     report = enumerate_signed_sums(config, radius)
     hits, min_norm, argmin, norms = census(config, radius)
@@ -186,10 +199,19 @@ def test_census_cross_check(seed):
     _cross_check(config, float(rng.uniform(0.2, d + 1)))
 
 
-@pytest.mark.parametrize("n", [12, 13, 14])
+# log2 of the kernel's chunk: 2^(n-1) kernel sums fill 2^(n - 1 - _CHUNK_BITS) chunks.
+_CHUNK_BITS = core._CHUNK.bit_length() - 1
+
+
+def test_oracle_chunk_is_the_kernels():
+    assert oracles._CHUNK == core._CHUNK
+
+
+@pytest.mark.parametrize("n", range(12, _CHUNK_BITS + 5))
 @pytest.mark.parametrize("seed", range(2))
 def test_census_cross_check_across_chunks(n, seed):
-    """As above at sizes whose 2^(n-1) kernel sums span several chunks."""
+    """As above at sizes up to 2^(n-1) kernel sums in 8 chunks, with 2 and
+    4 chunks among them."""
     rng = np.random.default_rng([seed, n])
     d = int(rng.integers(2, 5))
     config = random_unit_config(d, n, seed=seed + 900)
@@ -201,10 +223,12 @@ def test_census_cross_check_across_chunks(n, seed):
     [
         # first minimiser in the first chunk, exact ties in every later one
         [(1.0, 0.0)] * 7 + [(0.0, 1.0)] * 7,
-        # eta_2 = -1 is forced, so the first minimiser sits in the second chunk
+        # eta_2 = -1 is forced, so the first minimiser is sum 2^(n-2): in the
+        # second chunk of 2^10, and of _CHUNK when n = 2 + _CHUNK_BITS
         [(1.0, 0.0)] * 2 + [(0.0, 1.0)] * 10,
+        [(1.0, 0.0)] * 2 + [(0.0, 1.0)] * _CHUNK_BITS,
     ],
-    ids=["7x(1,0)+7x(0,1)", "2x(1,0)+10x(0,1)"],
+    ids=["7x(1,0)+7x(0,1)", "2x(1,0)+10x(0,1)", f"2x(1,0)+{_CHUNK_BITS}x(0,1)"],
 )
 def test_exact_ties_across_chunks(rows):
     """Integer sums tie exactly, so the lexicographically first minimiser
@@ -377,6 +401,7 @@ class TestSignTableBits:
 
     @settings(max_examples=150, deadline=None)
     @given(_bit_rows().filter(len))
+    @example(np.full((1, 9), 0.3))  # n = 1: a pairwise sum of the squares is an ulp higher
     def test_half_norms_sq_chunks_equal_doubling(self, rows):
         with np.errstate(over="ignore"):  # squares past 1e154 are inf in both
             ours, theirs = list(core.half_norms_sq(rows)), list(doubling_half_norms_sq(rows))

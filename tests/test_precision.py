@@ -305,7 +305,8 @@ class TestExactRecheck:
 
     def test_ties_beyond_one_chunk(self):
         """orthomult:2:7,7 at ext:256: 2 * C(7,3)^2 sums tie at the minimum
-        norm^2 2 (the odd multiplicities forbid 0), spread over 8 chunks."""
+        norm^2 2 (the odd multiplicities forbid 0), spread over all
+        2^13 / core._CHUNK chunks of the kernel (4 of 2^11)."""
         policy = PrecisionPolicy.extended(256)
         config = construct_orthonormal_multiplicity(2, (7, 7))
         report = enumerate_signed_sums(config, math.sqrt(2), policy=policy)
@@ -318,11 +319,14 @@ class TestExactRecheck:
 class TestMemory:
     """tracemalloc peaks of one call, against the object-array kernel's:
     1 612 780 bytes on ext:256 exponential:15 and 130 480 on double
-    random:3:20 (measured at the parent of the float64 kernel)."""
+    random:3:20 (measured at the parent of the float64 kernel), and against
+    the 2^10-sum chunks' 164 064 on double random:4:16, whose chunks hold
+    several head columns (measured at the parent of the 2^11-sum chunks)."""
 
     @pytest.mark.parametrize("spec, precision, bound", [
         ("exponential:15", "ext:256", 400_000),  # a quarter of the old peak
         ("random:3:20", "double", 163_100),  # the old peak plus 25 %
+        ("random:4:16", "double", 164_100),  # the old peak
     ])
     def test_peak_allocation(self, spec, precision, bound):
         policy = PrecisionPolicy.parse(precision)
