@@ -9,7 +9,8 @@ The toolbox, roughly in order of sophistication:
   batch of one.
 * ``eliminate``          -- round relaxed coefficients to +/-1 along
   nullspace directions, preserving the weighted sum, until at most k
-  fractional coefficients remain.
+  fractional coefficients remain; each round pivots on a basis inverse
+  carried in Python floats, as in the revised simplex method.
 * ``approximate_point``  -- eliminate to <= d fractional coordinates, then
   greedy on the survivors: squared error <= d for any number of vectors of
   norm <= 1.
@@ -32,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import fsum
+from operator import itemgetter, mul
 
 import numpy as np
 
@@ -213,62 +216,182 @@ def greedy_signs(config: VectorConfig, lam=None) -> BalanceReport:
 _FRACTIONAL_SNAP = 5e-13
 
 
+def _gauss_jordan(columns: list) -> tuple[list[float], list | None]:
+    """A round's null vector from scratch: Gauss-Jordan with partial pivoting
+    on [B | a | I], where ``columns[t]`` holds component t of the subset's d+1
+    vectors and B is the first d.  Returns beta, +1 at the first column that
+    takes no pivot (a pivot at most 1e-12 times the column's largest entry
+    counts as none), and -B^-1 when that column is a, else None."""
+    # Row t of m holds, past the columns already pivoted, component t of the
+    # remaining vectors and then of the identity.
+    d = len(columns)
+    m = [list(comp) + [float(t == j) for j in range(d)] for t, comp in enumerate(columns)]
+    for c in range(d):
+        p = max(range(c, d), key=lambda t: abs(m[t][0]))
+        if not abs(m[p][0]) > 1e-12 * max(abs(comp[c]) for comp in columns):  # NaN too
+            return [-m[t][0] for t in range(c)] + [1.0] + [0.0] * (d - c), None
+        m[c], m[p] = m[p], m[c]
+        pivot = m[c][0]
+        m[c] = row = [x / pivot for x in m[c][1:]]
+        for t in range(d):
+            if t != c:
+                f = m[t][0]
+                m[t] = [x - f * y for x, y in zip(m[t][1:], row)]
+    return [-r[0] for r in m] + [1.0], [[-x for x in r[1:]] for r in m]
+
+
+def _orthogonal_null_vector(vecs: list) -> list[float]:
+    """The null vector of the subset's vectors by Gram-Schmidt, twice per
+    vector, in index order: +1 on the first vector whose distance from the
+    span of the ones before it is at most 1e-13 of its norm, minus its
+    coefficients on those (by back substitution), 0 past it.  Backward
+    stable when the vectors are nearly dependent, where the inverse that
+    Gauss-Jordan makes is not."""
+    basis, heads, pivots = [], [], []  # orthonormal q_j; R's columns; their vectors
+    for c, vec in enumerate(vecs):
+        v, coeffs = list(vec), [0.0] * len(basis)
+        for _ in range(2):
+            h = [fsum(map(mul, q, v)) for q in basis]
+            v = [x - fsum(map(mul, h, qt)) for x, qt in zip(v, zip(*basis))] if basis else v
+            coeffs = [x + y for x, y in zip(coeffs, h)]
+        norm = math.sqrt(fsum(map(mul, v, v)))
+        if not norm > 1e-13 * math.sqrt(fsum(map(mul, vec, vec))):  # NaN too
+            x = [0.0] * len(pivots)
+            for i in reversed(range(len(x))):  # R x = coeffs
+                later = fsum(heads[j][i] * x[j] for j in range(i + 1, len(x)))
+                x[i] = (coeffs[i] - later) / heads[i][i]
+            beta = [0.0] * len(vecs)
+            beta[c] = 1.0
+            for p, xi in zip(pivots, x):
+                beta[p] = -xi
+            return beta
+        basis.append([x / norm for x in v])
+        heads.append(coeffs + [norm])
+        pivots.append(c)
+    raise AssertionError("d+1 vectors in dimension d are dependent")
+
+
+def _residual(beta: list, columns: list) -> tuple[list[float], float, float]:
+    """A beta for the subset's matrix A, its L1 norm (NaN when it is) and ||beta||_inf."""
+    residual = [fsum(map(mul, beta, comp)) for comp in columns]
+    return residual, fsum(map(abs, residual)), max(map(abs, beta))
+
+
+def _null_vector(vectors: list, components: list, subset: list, inverse: list | None):
+    """beta with A beta = 0 for the matrix A of the subset's d+1 vectors, the
+    -B^-1 of its first d to carry on (None when it is not known), and
+    ||beta||_inf.  beta from the carried -B^-1, else from a fresh
+    Gauss-Jordan, is taken when its residual A beta is within 1e-14
+    ||beta||_inf, after one step of iterative refinement through -B^-1 if
+    needed; otherwise Gram-Schmidt gives beta, within 1e-8 ||beta||_inf, or
+    NumericalNullspaceFailure is raised."""
+    column = itemgetter(*subset)
+    columns = [column(comp) for comp in components]  # component t of the subset's vectors
+    for fresh in ((False, True) if inverse is not None else (True,)):
+        if fresh:
+            beta, inverse = _gauss_jordan(columns)
+        else:
+            a = vectors[subset[-1]]
+            beta = [fsum(map(mul, row, a)) for row in inverse]
+            beta.append(1.0)
+        residual, error, scale = _residual(beta, columns)
+        if not error <= 1e-14 * scale and inverse is not None:
+            refined = [b + fsum(map(mul, row, residual)) for b, row in zip(beta, inverse)]
+            refined.append(1.0)
+            _, refined_error, refined_scale = _residual(refined, columns)
+            if refined_error < error:
+                beta, error, scale = refined, refined_error, refined_scale
+        if error <= 1e-14 * scale:
+            return beta, inverse, scale
+    beta = _orthogonal_null_vector([vectors[i] for i in subset])
+    _, error, scale = _residual(beta, columns)
+    if error <= 1e-8 * scale:
+        return beta, None, scale
+    raise NumericalNullspaceFailure(f"null combination residual {error!r} over indices {subset}")
+
+
 def _eliminate_rows(rows: np.ndarray, values, k: int) -> tuple[np.ndarray, list[int]]:
     """Elimination on raw (n, d) rows; returns the rounded coefficients (a
     new array) and the indices still fractional, at most k of them.  The
-    coefficients are Python floats, and a round clips only the d+1 it moves."""
-    d = rows.shape[1]
-    values = [float(x) for x in values]
-    fractional = [i for i, x in enumerate(values) if abs(x) < 1.0]
+    coefficients are Python floats, and a round clips only the d+1 it moves.
 
-    while len(fractional) > k:
-        subset = fractional[: d + 1]
-        A = rows[subset].T  # d x (d+1): always has a nontrivial null vector
-        null = np.linalg.svd(A)[2][-1]
-        residual = (A @ null).tolist()
-        if not all(abs(r) <= 1e-8 for r in residual):  # NaN fails too
-            raise NumericalNullspaceFailure(
-                f"null combination residual {float(np.max(np.abs(residual)))!r} "
-                f"over indices {subset}")
-        beta = null.tolist()
+    The round's subset is the d+1 lowest-index fractional coordinates, its
+    first d vectors the basis B and its last the entering vector a.  -B^-1
+    is carried from round to round as Python lists: when one basis
+    coordinate binds, a rank-one (eta) update swaps a in for it; when a
+    binds, B stays; anything else (two coordinates land on +/-1, a pivot
+    below 1e-12 ||beta||_inf, a singular B) refactors it next round.
+    _null_vector says how each beta is found and checked."""
+    d = rows.shape[1]
+    vectors, components = rows.tolist(), rows.T.tolist()
+    values = np.asarray(values, dtype=float).tolist()
+    fractional = [i for i, x in enumerate(values) if abs(x) < 1.0]
+    subset, inverse = fractional[: d + 1], None
+    cursor = len(subset)  # fractional[cursor:] has not entered a subset yet
+
+    while len(subset) + len(fractional) - cursor > k:
+        beta, inverse, scale = _null_vector(vectors, components, subset, inverse)
 
         # Feasible scaling range [lo, hi] keeps every |lam + gamma*beta| <= 1;
         # at each end some coordinate binds at +/-1.
-        hi, hi_local, hi_target = math.inf, -1, 0
-        lo, lo_local, lo_target = -math.inf, -1, 0
+        tiny = 1e-14 * scale
+        hi, hi_local, lo, lo_local = math.inf, -1, -math.inf, -1
+        for loc, b in enumerate(beta):
+            if abs(b) >= tiny:
+                x = values[subset[loc]]
+                up, down = (1.0 - x) / b, (-1.0 - x) / b
+                if b < 0.0:
+                    up, down = down, up
+                if up < hi:
+                    hi, hi_local = up, loc
+                if down > lo:
+                    lo, lo_local = down, loc
+        # Ties to the side where beta's free coordinate grows.
+        gamma, binding_local = (hi, hi_local) if hi <= -lo else (lo, lo_local)
+
+        # Clip to [-1, 1] and snap within _FRACTIONAL_SNAP of +/-1 (for |x| <= 1,
+        # 1 - |x| is |(|x| - 1)| exactly, and past +/-1 it is negative); the
+        # binding coordinate lands within rounding of its bound.
+        bound, kept = [], []
         for loc, (i, b) in enumerate(zip(subset, beta)):
-            if abs(b) < 1e-14:
-                continue
-            room_up = (1.0 - values[i]) / b
-            room_down = (-1.0 - values[i]) / b
-            pos, pos_target = (room_up, 1) if b > 0 else (room_down, -1)
-            neg, neg_target = (room_down, -1) if b > 0 else (room_up, 1)
-            if pos < hi:
-                hi, hi_local, hi_target = pos, loc, pos_target
-            if neg > lo:
-                lo, lo_local, lo_target = neg, loc, neg_target
+            x = values[i] + gamma * b
+            if loc == binding_local or 1.0 - abs(x) < _FRACTIONAL_SNAP:
+                values[i] = math.copysign(1.0, x)
+                bound.append(loc)
+            else:
+                values[i] = x
+                kept.append(i)
 
-        if hi <= -lo:  # ties to the positive side
-            gamma, binding_local, target = hi, hi_local, hi_target
-        else:
-            gamma, binding_local, target = lo, lo_local, lo_target
-
-        for i, b in zip(subset, beta):
-            x = min(1.0, max(-1.0, values[i] + gamma * b))
-            values[i] = math.copysign(1.0, x) if abs(abs(x) - 1.0) < _FRACTIONAL_SNAP else x
-        values[subset[binding_local]] = float(target)
-        fractional = [i for i in fractional if abs(values[i]) < 1.0]
-    return np.array(values), fractional
+        if bound != [d]:  # when a binds alone, B stays
+            p = bound[0]
+            if len(bound) == 1 and inverse is not None and abs(beta[p]) > 1e-12 * scale:
+                q = -beta[p]
+                row = [x / q for x in inverse[p]]
+                del inverse[p], beta[p]
+                inverse = [[x + b * y for x, y in zip(r, row)] for r, b in zip(inverse, beta)]
+                inverse.append(row)
+            else:
+                inverse = None
+        subset = kept + fractional[cursor: cursor + d + 1 - len(kept)]
+        cursor += len(subset) - len(kept)
+    return np.array(values), subset + fractional[cursor:]
 
 
 def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
     """Drive coefficients to +/-1 along nullspace directions until at most k
     fractional coordinates remain, preserving the weighted sum throughout.
 
-    Each round takes the d+1 lowest-index fractional coordinates, finds a
-    nontrivial null combination of their vectors, and scales it just far
-    enough that some coefficient lands exactly on +/-1 (smallest |scale|
-    wins, ties to the positive side).
+    Each round takes the d+1 lowest-index fractional coordinates and moves
+    them along the null combination beta of their vectors that has +1 on
+    the last of them: beta = (-B^-1 a, 1) for the first d vectors B and the
+    last a, or, when B is singular, +1 on the first vector that depends on
+    the ones before it and 0 past it.  The move goes just far enough that
+    some coefficient lands exactly on +/-1; the smallest |scale| wins, and a
+    tie goes to the positive scale, on which beta's +1 coefficient grows.
+    B^-1 is carried between rounds by rank-one updates in Python floats and
+    checked by the residual of every beta; nearly dependent vectors fall
+    back to Gram-Schmidt.  No LAPACK call is made, and the result does not
+    depend on the BLAS kernel.
     """
     if k < config.dim:
         raise ValueError(f"k = {k} must be at least the dimension {config.dim}")

@@ -10,7 +10,8 @@ vector at a time instead of one step of a batch of orders, the search
 oracle climbs one restart and one step at a time on the full sign table
 and sums each norm^2 component by component, the split oracle tries
 projection_split wherever its premises hold and runs each greedy order on
-its own, and the
+its own, the exact elimination oracle runs the elimination rule in
+Fraction arithmetic with no clipping, snapping or carried inverse, and the
 falsifier oracle scores every candidate from scratch.  Its g adds its own
 doubled head and tail tables and sums each norm^2 over the components in
 index order, as the library does when it settles each start, so that equal
@@ -19,14 +20,16 @@ ascents give bitwise equal values.
 The bit-level oracles keep earlier forms of library kernels whose bits the
 library must still produce: ``doubling_sign_table`` and
 ``doubling_half_norms_sq`` build every table by concatenated doubling,
-``scalar_eliminate_rows`` runs elimination on numpy scalars, clipping every
-coefficient each round, ``loop_validation`` checks a configuration's
-rows one at a time, and ``loop_projection_split`` projects, checks and
-accumulates the split's other vectors one at a time.
+``scalar_eliminate_rows`` runs elimination on numpy scalars with explicit
+loops, a full-row Gauss-Jordan and clipping every coefficient each round,
+``loop_validation`` checks a configuration's rows one at a time, and
+``loop_projection_split`` projects, checks and accumulates the split's
+other vectors one at a time.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -91,25 +94,127 @@ def doubling_half_norms_sq(rows):
             yield norm_sq.ravel()
 
 
+def _scalar_residual(A, beta):
+    d, cols = A.shape
+    residual = [math.fsum([beta[j] * A[t, j] for j in range(cols)]) for t in range(d)]
+    return residual, math.fsum([abs(r) for r in residual]), max(abs(b) for b in beta)
+
+
+def _scalar_gauss_jordan(A):
+    """Gauss-Jordan with partial pivoting on [B | a | I] over full rows."""
+    d = A.shape[0]
+    m = np.hstack([A, np.eye(d)])
+    for c in range(d):
+        p = c
+        for t in range(c + 1, d):
+            if abs(m[t, c]) > abs(m[p, c]):
+                p = t
+        colmax = np.float64(0.0)
+        for t in range(d):
+            colmax = max(colmax, abs(A[t, c]))
+        if not abs(m[p, c]) > 1e-12 * colmax:
+            beta = np.zeros(d + 1)
+            for t in range(c):
+                beta[t] = -m[t, c]
+            beta[c] = 1.0
+            return beta, None
+        m[[c, p]] = m[[p, c]]
+        pivot = m[c, c]
+        for j in range(2 * d + 1):
+            m[c, j] = m[c, j] / pivot
+        for t in range(d):
+            if t != c:
+                f = m[t, c]
+                for j in range(2 * d + 1):
+                    m[t, j] = m[t, j] - f * m[c, j]
+    return np.append(-m[:, d], 1.0), -m[:, d + 1:]
+
+
+def _scalar_gram_schmidt_null_vector(A):
+    """Classical Gram-Schmidt twice per column in index order; +1 at the
+    first column within 1e-13 of its norm of the earlier columns' span."""
+    d, cols = A.shape
+    basis, heads, pivots = [], [], []
+    for c in range(cols):
+        v = A[:, c].copy()
+        coeffs = np.zeros(len(basis))
+        for _ in range(2):
+            h = [math.fsum([q[t] * v[t] for t in range(d)]) for q in basis]
+            for t in range(d):
+                v[t] = v[t] - math.fsum([h[j] * basis[j][t] for j in range(len(basis))])
+            for j in range(len(basis)):
+                coeffs[j] = coeffs[j] + h[j]
+        norm = math.sqrt(math.fsum([v[t] * v[t] for t in range(d)]))
+        if not norm > 1e-13 * math.sqrt(math.fsum([A[t, c] * A[t, c] for t in range(d)])):
+            x = np.zeros(len(pivots))
+            for i in reversed(range(len(pivots))):
+                x[i] = (coeffs[i] - math.fsum([heads[j][i] * x[j]
+                                               for j in range(i + 1, len(pivots))])) / heads[i][i]
+            beta = np.zeros(cols)
+            beta[c] = 1.0
+            for i, p in enumerate(pivots):
+                beta[p] = -x[i]
+            return beta
+        basis.append(v / norm)
+        heads.append(np.append(coeffs, norm))
+        pivots.append(c)
+    raise AssertionError("d+1 columns in dimension d are dependent")
+
+
+def _scalar_null_vector(A, inverse):
+    """The library's null vector of the d x (d+1) subset matrix A on numpy
+    scalars: from the carried -B^-1 ``inverse`` (a (d, d) array), else from
+    a fresh Gauss-Jordan, each refined once through -B^-1 when its residual
+    passes 1e-14 ||beta||_inf and taken when it is then within it; else by
+    Gram-Schmidt.  Every sum of products is math.fsum of the products, each
+    rounded first, as the library's fsum of map(mul).  Returns beta, the
+    inverse to carry (None when there is none) and max |beta_j|."""
+    d = A.shape[0]
+    for fresh in ((False, True) if inverse is not None else (True,)):
+        if fresh:
+            beta, inverse = _scalar_gauss_jordan(A)
+        else:
+            beta = np.ones(d + 1)
+            for j in range(d):
+                beta[j] = math.fsum([inverse[j, t] * A[t, d] for t in range(d)])
+        residual, error, scale = _scalar_residual(A, beta)
+        if not error <= 1e-14 * scale and inverse is not None:
+            refined = beta.copy()
+            for j in range(d):
+                refined[j] = beta[j] + math.fsum([inverse[j, t] * residual[t] for t in range(d)])
+            _, refined_error, refined_scale = _scalar_residual(A, refined)
+            if refined_error < error:
+                beta, error, scale = refined, refined_error, refined_scale
+        if error <= 1e-14 * scale:
+            return beta, inverse, scale
+    beta = _scalar_gram_schmidt_null_vector(A)
+    _, error, scale = _scalar_residual(A, beta)
+    assert error <= 1e-8 * scale, f"null combination residual {error!r}"
+    return beta, None, scale
+
+
 def scalar_eliminate_rows(rows, values, k, snap=5e-13):
     """Elimination on numpy scalars: each round takes the d+1 lowest-index
-    fractional coefficients, moves them along the SVD's null vector until
-    one binds at +/-1 (smallest |scale|, ties to the positive side), clips
-    every coefficient to [-1, 1] and snaps those within ``snap`` of +/-1.
-    Returns the coefficients and the indices still fractional."""
+    fractional coefficients, moves them along the null vector with +1 on the
+    last of them (its first d vectors' -B^-1 carried from the round before,
+    or made afresh) until one binds at +/-1 (smallest |scale|, ties to the
+    positive side), clips every coefficient to [-1, 1] and snaps those
+    within ``snap`` of +/-1.  -B^-1 is carried on when one basis coordinate
+    binds (a rank-one update, its row moved last) or the last one binds
+    alone, and dropped otherwise.  Returns the coefficients and the indices
+    still fractional."""
     d = rows.shape[1]
     values = np.array(values, dtype=float)
     fractional = [i for i in range(len(values)) if abs(values[i]) < 1.0]
+    inverse = None
     while len(fractional) > k:
         subset = fractional[: d + 1]
-        A = rows[subset].T
-        beta = np.linalg.svd(A)[2][-1]
-        assert float(np.max(np.abs(A @ beta))) <= 1e-8
+        beta, inverse, scale = _scalar_null_vector(rows[subset].T, inverse)
         hi, hi_local, hi_target = math.inf, -1, 0
         lo, lo_local, lo_target = -math.inf, -1, 0
         for loc, i in enumerate(subset):
             b = beta[loc]
-            if abs(b) < 1e-14:
+            if abs(b) < 1e-14 * scale:
                 continue
             room_up = (1.0 - values[i]) / b
             room_down = (-1.0 - values[i]) / b
@@ -130,8 +235,95 @@ def scalar_eliminate_rows(rows, values, k, snap=5e-13):
         for i in subset:
             if abs(abs(values[i]) - 1.0) < snap:
                 values[i] = math.copysign(1.0, values[i])
+        bound = [loc for loc, i in enumerate(subset) if abs(values[i]) == 1.0]
+        if bound != [d]:
+            p = bound[0]
+            if len(bound) == 1 and inverse is not None and abs(beta[p]) > 1e-12 * scale:
+                row = np.empty(d)
+                for t in range(d):
+                    row[t] = inverse[p, t] / -beta[p]
+                updated = np.empty((d, d))
+                for j in range(d):
+                    for t in range(d):
+                        updated[j, t] = inverse[j, t] + beta[j] * row[t]
+                updated[p] = row
+                inverse = updated[[j for j in range(d) if j != p] + [p]]
+            else:
+                inverse = None
         fractional = [i for i in fractional if abs(values[i]) < 1.0]
     return values, fractional
+
+
+def _exact_null_vector(columns):
+    """The null vector of d+1 exact vectors with +1 at the first column that
+    is a combination of the ones before it and 0 past it, by Gauss-Jordan in
+    Fraction arithmetic, and the smallest |pivot| relative to its column's
+    largest entry."""
+    d = len(columns[0])
+    m = [[col[t] for col in columns] for t in range(d)]
+    pivots, least = [], math.inf
+    for c, col in enumerate(columns):
+        r = len(pivots)
+        p = next((t for t in range(r, d) if m[t][c] != 0), None)
+        if p is None:
+            beta = [Fraction(0)] * len(columns)
+            beta[c] = Fraction(1)
+            for row, pc in enumerate(pivots):
+                beta[pc] = -m[row][c]
+            return beta, least
+        least = min(least, abs(m[p][c]) / max(abs(x) for x in col))
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for t in range(d):
+            if t != r and m[t][c] != 0:
+                f = m[t][c]
+                m[t] = [x - f * y for x, y in zip(m[t], m[r])]
+        pivots.append(c)
+    raise AssertionError("d vectors in dimension d leave no free column among d+1")
+
+
+def exact_eliminate_rows(rows, values, k):
+    """The elimination rule in Fraction arithmetic on the exact values of the
+    float inputs: each round takes the d+1 lowest-index fractional
+    coefficients, moves them along the null vector with +1 at its free
+    column until the first binds at +/-1 (ties to the positive side), with
+    no clipping or snapping.  Returns the exact coefficients, the indices
+    still fractional and ``margin``: the least relative gap, over all rounds,
+    between the two smallest ratios on the side taken, between the two
+    sides, of a moved coefficient to +/-1 or of a beta entry to 0, and the
+    least relative pivot.  A float run can decide otherwise only where the
+    margin is near rounding."""
+    d = rows.shape[1]
+    vectors = [[Fraction(x) for x in row] for row in rows.tolist()]
+    values = [Fraction(float(x)) for x in values]
+    fractional = [i for i, x in enumerate(values) if abs(x) < 1]
+    margin = math.inf
+    while len(fractional) > k:
+        subset = fractional[: d + 1]
+        beta, least_pivot = _exact_null_vector([vectors[i] for i in subset])
+        scale = max(abs(b) for b in beta)
+        ups, downs = [], []
+        for loc, (i, b) in enumerate(zip(subset, beta)):
+            if b != 0:
+                margin = min(margin, abs(b) / scale)
+                up, down = (1 - values[i]) / b, (-1 - values[i]) / b
+                ups.append((down, loc) if b < 0 else (up, loc))
+                downs.append((-up, loc) if b < 0 else (-down, loc))
+        ups.sort()
+        downs.sort()
+        hi, lo = ups[0][0], -downs[0][0]
+        side = ups if hi <= -lo else downs
+        gamma, binding = (hi, ups[0][1]) if hi <= -lo else (lo, downs[0][1])
+        gaps = [abs(hi + lo) / (hi - lo), least_pivot]
+        if len(side) > 1:
+            gaps.append((side[1][0] - side[0][0]) / (abs(side[1][0]) + abs(side[0][0])))
+        for loc, (i, b) in enumerate(zip(subset, beta)):
+            values[i] += gamma * b
+            if loc != binding:
+                gaps.append(1 - abs(values[i]))
+        margin = min(margin, *gaps)
+        fractional = [i for i in fractional if abs(values[i]) < 1]
+    return values, fractional, float(margin)
 
 
 def census(config, radius, tol=1e-12):

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from signsum import balancing, core
@@ -45,6 +45,7 @@ from signsum.errors import (
 
 from oracles import (
     brute_min,
+    exact_eliminate_rows,
     greedy_pass,
     loop_projection_split,
     min_approx_error_sq,
@@ -214,22 +215,104 @@ class TestEliminateBits:
         assert _bits(values) == _bits(want_values)
         assert fractional == want_fractional
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 6), st.integers(1, 48), st.integers(0, 10**6), st.floats(-15, -4))
+    def test_equals_scalar_oracle_on_nearly_dependent_rows(self, d, n, seed, noise):
+        # Copies of fewer than d directions plus noise at 10^noise: the
+        # carried inverse, the fresh Gauss-Jordan and Gram-Schmidt all serve.
+        rng = np.random.default_rng(seed)
+        rank = int(rng.integers(1, d))
+        base = random_unit_config(d, rank, seed=seed).as_array()
+        rows = base[rng.integers(0, rank, n)] * rng.choice([-1.0, 1.0], (n, 1))
+        rows += 10.0**noise * rng.standard_normal(rows.shape)
+        lam = rng.uniform(-1, 1, n)
+        values, fractional = balancing._eliminate_rows(rows, lam, d)
+        want_values, want_fractional = scalar_eliminate_rows(rows, lam, d)
+        assert _bits(values) == _bits(want_values)
+        assert fractional == want_fractional
+
     def test_ties_on_parallel_rows(self):
-        # Parallel rows leave the SVD a null space of dimension two; lam = 0
-        # ties hi == -lo, and the second lam starts half the subset on +-1/2.
+        # Parallel rows make the basis singular: the null vector takes +1 at
+        # the first dependent column.  lam = 0 ties hi == -lo, and the second
+        # lam starts half the subset on +-1/2.
         rows = np.array([[1.0, 0.0]] * 4 + [[0.0, 1.0]] * 3)
         for lam in (np.zeros(7), np.array([0.5, -0.5, 0.5, -0.5, 0.0, 0.0, 1.0])):
             values, fractional = balancing._eliminate_rows(rows, lam, 2)
             want_values, want_fractional = scalar_eliminate_rows(rows, lam, 2)
             assert _bits(values) == _bits(want_values) and fractional == want_fractional
 
-    def test_nan_residual_is_refused(self, monkeypatch):
-        def nan_svd(A):
-            return None, None, np.full((A.shape[1], A.shape[1]), math.nan)
+    def test_zero_row_in_beck_mode(self):
+        # A zero vector is a dependent column wherever it sits: the null
+        # vector is +1 on it alone, so it moves to +-1 and nothing else moves.
+        rng = np.random.default_rng(3)
+        rows = random_unit_config(3, 9, seed=3).as_array() * 0.9
+        rows[[1, 5]] = 0.0
+        config = validate_config(rows, mode="beck")
+        for lam in (np.zeros(9), rng.uniform(-1, 1, 9)):
+            values, fractional = balancing._eliminate_rows(rows, lam, 3)
+            want_values, want_fractional = scalar_eliminate_rows(rows, lam, 3)
+            assert _bits(values) == _bits(want_values) and fractional == want_fractional
+            assert np.linalg.norm(values @ rows - lam @ rows) <= 1e-12 * 9
+            assert len(fractional) <= 3 and np.all(np.abs(values) <= 1.0)
+            report = approximate_point(config, lam)
+            assert report.achieved_norm <= report.guarantee
+        assert balancing._eliminate_rows(rows, np.zeros(9), 3)[0][1] == 1.0
 
-        monkeypatch.setattr(balancing.np.linalg, "svd", nan_svd)
+    def test_nan_residual_is_refused(self):
+        rows = random_unit_config(2, 5, seed=1).as_array()
+        rows[3, 1] = math.nan
         with pytest.raises(NumericalNullspaceFailure, match="nan"):
-            eliminate(random_unit_config(2, 5, seed=1), None, k=2)
+            balancing._eliminate_rows(rows, np.zeros(5), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 48), st.integers(0, 10**6))
+    def test_agrees_with_the_exact_rule(self, d, n, seed):
+        """The same rule in Fraction arithmetic fixes the same coefficients
+        to the same signs and leaves the same indices, wherever no ratio,
+        side or coefficient comes within 1e-9 of a tie."""
+        rng = np.random.default_rng(seed)
+        rows = random_unit_config(d, n, seed=seed).as_array()
+        lam = rng.uniform(-1, 1, n)
+        exact, exact_fractional, margin = exact_eliminate_rows(rows, lam, d)
+        assume(margin > 1e-9)
+        values, fractional = balancing._eliminate_rows(rows, lam, d)
+        assert fractional == exact_fractional
+        fixed = [(i, x) for i, x in enumerate(exact) if abs(x) == 1]
+        assert all(values[i] == x for i, x in fixed)
+        assert np.max(np.abs(values @ rows - lam @ rows), initial=0.0) <= 1e-12 * n
+
+    @pytest.mark.parametrize("noise", [1e-13, 1e-12, 1e-11, 1e-10])
+    def test_nearly_dependent_subsets(self, noise):
+        """Copies of two directions in R^6 plus noise near the 1e-12 pivot
+        tolerance: Gauss-Jordan's inverse is too inexact to refine, and the
+        Gram-Schmidt null vector keeps the weighted sum within 1e-12 n."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            base = random_unit_config(6, 2, seed=seed).as_array()
+            rows = base[rng.integers(0, 2, 40)] + noise * rng.standard_normal((40, 6))
+            lam = rng.uniform(-1, 1, 40)
+            values, fractional = balancing._eliminate_rows(rows, lam, 6)
+            assert np.max(np.abs(values @ rows - lam @ rows)) <= 1e-12 * 40
+            assert len(fractional) <= 6 and np.all(np.abs(values) <= 1.0)
+
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-6, 1e-8])
+    def test_near_parallel_clusters(self, sigma):
+        """Three clusters of ten near-parallel unit vectors make every basis
+        ill-conditioned: the A8 contract holds, and refinement keeps the
+        weighted sum within 1e-12 n."""
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            rows = np.repeat(np.eye(3), 10, axis=0) + sigma * rng.standard_normal((30, 3))
+            rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+            if seed % 2:
+                rows = rows[rng.permutation(30)]
+            lam = rng.uniform(-1, 1, 30)
+            for k in (3, 5):
+                result = eliminate(validate_config(rows), lam, k)
+                values = result.coefficients.as_array()
+                assert np.max(np.abs(values @ rows - lam @ rows)) <= 1e-12 * 30
+                assert len(result.residual_indices) <= k
+                assert np.all(np.abs(values) <= 1.0)
 
 
 class TestApproximatePoint:
