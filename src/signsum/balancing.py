@@ -10,7 +10,8 @@ The toolbox, roughly in order of sophistication:
 * ``eliminate``          -- round relaxed coefficients to +/-1 along
   nullspace directions, preserving the weighted sum, until at most k
   fractional coefficients remain; each round pivots on a basis inverse
-  carried in Python floats, as in the revised simplex method.
+  carried in Python floats, as in the revised simplex method, and made
+  afresh by Gaussian elimination with back substitution.
 * ``approximate_point``  -- eliminate to <= d fractional coordinates, then
   greedy on the survivors: squared error <= d for any number of vectors of
   norm <= 1.
@@ -151,9 +152,7 @@ def _as_lambda(config: VectorConfig, lam) -> np.ndarray:
     else:
         values = np.asarray(lam, dtype=float)
     if values.shape != (config.n,):
-        raise DimensionMismatch(
-            f"{values.size} coefficients for {config.n} vectors"
-        )
+        raise DimensionMismatch(f"coefficients of shape {values.shape} for {config.n} vectors")
     if not np.all(np.abs(values) <= 1.0):
         CoefficientVector(tuple(values.tolist()))  # raises OutOfRange with the index
     return values
@@ -216,97 +215,69 @@ def greedy_signs(config: VectorConfig, lam=None) -> BalanceReport:
 _FRACTIONAL_SNAP = 5e-13
 
 
-def _gauss_jordan(columns: list) -> tuple[list[float], list | None]:
-    """A round's null vector from scratch: Gauss-Jordan with partial pivoting
-    on [B | a | I], where ``columns[t]`` holds component t of the subset's d+1
-    vectors and B is the first d.  Returns beta, +1 at the first column that
-    takes no pivot (a pivot at most 1e-12 times the column's largest entry
-    counts as none), and -B^-1 when that column is a, else None."""
-    # Row t of m holds, past the columns already pivoted, component t of the
-    # remaining vectors and then of the identity.
+def _factor(columns: list) -> tuple[list[float], list | None]:
+    """A round's null vector from scratch: Gaussian elimination with partial
+    pivoting on [B | a | I], where ``columns[t]`` holds component t of the
+    subset's d+1 vectors and B is the first d, then back substitution.
+    Returns beta, +1 at the first column that takes no pivot (a pivot at
+    most 1e-14 times the column's largest entry counts as none) and 0 past
+    it, and -B^-1 when that column is a, else None."""
+    # Row t of rows holds, past the columns already pivoted, component t of
+    # the remaining vectors and then of the identity; upper[r] is U's row r
+    # from column r on.  A zero multiplier, common where vectors repeat,
+    # leaves its row as it is.
     d = len(columns)
-    m = [list(comp) + [float(t == j) for j in range(d)] for t, comp in enumerate(columns)]
+    rows = [list(comp) + [float(t == j) for j in range(d)] for t, comp in enumerate(columns)]
+    upper = []
     for c in range(d):
-        p = max(range(c, d), key=lambda t: abs(m[t][0]))
-        if not abs(m[p][0]) > 1e-12 * max(abs(comp[c]) for comp in columns):  # NaN too
-            return [-m[t][0] for t in range(c)] + [1.0] + [0.0] * (d - c), None
-        m[c], m[p] = m[p], m[c]
-        pivot = m[c][0]
-        m[c] = row = [x / pivot for x in m[c][1:]]
-        for t in range(d):
-            if t != c:
-                f = m[t][0]
-                m[t] = [x - f * y for x, y in zip(m[t][1:], row)]
-    return [-r[0] for r in m] + [1.0], [[-x for x in r[1:]] for r in m]
+        p = max(range(len(rows)), key=lambda t: abs(rows[t][0]))
+        if not abs(rows[p][0]) > 1e-14 * max(abs(comp[c]) for comp in columns):  # NaN too
+            break
+        rows[0], rows[p] = rows[p], rows[0]
+        pivot = rows.pop(0)
+        upper.append(pivot)
+        for t, row in enumerate(rows):
+            f = row[0] / pivot[0]
+            rows[t] = [x - f * y for x, y in zip(row[1:], pivot[1:])] if f else row[1:]
+    c = len(upper)  # the free column
+    # z = -U^-1 y, one row at a time from the last, for the free column y
+    # and, when that column is a, the identity's columns too.
+    width = d + 1 if c == d else 1
+    z = [None] * c
+    for r in reversed(range(c)):
+        row = upper[r]
+        acc = [-y for y in row[c - r: c - r + width]]
+        for u, later in zip(row[1: c - r], z[r + 1:]):
+            acc = [v - u * w for v, w in zip(acc, later)]
+        z[r] = [v / row[0] for v in acc]
+    beta = [zr[0] for zr in z] + [1.0] + [0.0] * (d - c)
+    return beta, [zr[1:] for zr in z] if c == d else None
 
 
-def _orthogonal_null_vector(vecs: list) -> list[float]:
-    """The null vector of the subset's vectors by Gram-Schmidt, twice per
-    vector, in index order: +1 on the first vector whose distance from the
-    span of the ones before it is at most 1e-13 of its norm, minus its
-    coefficients on those (by back substitution), 0 past it.  Backward
-    stable when the vectors are nearly dependent, where the inverse that
-    Gauss-Jordan makes is not."""
-    basis, heads, pivots = [], [], []  # orthonormal q_j; R's columns; their vectors
-    for c, vec in enumerate(vecs):
-        v, coeffs = list(vec), [0.0] * len(basis)
-        for _ in range(2):
-            h = [fsum(map(mul, q, v)) for q in basis]
-            v = [x - fsum(map(mul, h, qt)) for x, qt in zip(v, zip(*basis))] if basis else v
-            coeffs = [x + y for x, y in zip(coeffs, h)]
-        norm = math.sqrt(fsum(map(mul, v, v)))
-        if not norm > 1e-13 * math.sqrt(fsum(map(mul, vec, vec))):  # NaN too
-            x = [0.0] * len(pivots)
-            for i in reversed(range(len(x))):  # R x = coeffs
-                later = fsum(heads[j][i] * x[j] for j in range(i + 1, len(x)))
-                x[i] = (coeffs[i] - later) / heads[i][i]
-            beta = [0.0] * len(vecs)
-            beta[c] = 1.0
-            for p, xi in zip(pivots, x):
-                beta[p] = -xi
-            return beta
-        basis.append([x / norm for x in v])
-        heads.append(coeffs + [norm])
-        pivots.append(c)
-    raise AssertionError("d+1 vectors in dimension d are dependent")
-
-
-def _residual(beta: list, columns: list) -> tuple[list[float], float, float]:
-    """A beta for the subset's matrix A, its L1 norm (NaN when it is) and ||beta||_inf."""
-    residual = [fsum(map(mul, beta, comp)) for comp in columns]
-    return residual, fsum(map(abs, residual)), max(map(abs, beta))
+def _residual(beta: list, columns: list) -> tuple[float, float]:
+    """The L1 norm of A beta for the subset's matrix A (NaN when it is) and ||beta||_inf."""
+    return fsum(abs(fsum(map(mul, beta, comp))) for comp in columns), max(map(abs, beta))
 
 
 def _null_vector(vectors: list, components: list, subset: list, inverse: list | None):
     """beta with A beta = 0 for the matrix A of the subset's d+1 vectors, the
     -B^-1 of its first d to carry on (None when it is not known), and
-    ||beta||_inf.  beta from the carried -B^-1, else from a fresh
-    Gauss-Jordan, is taken when its residual A beta is within 1e-14
-    ||beta||_inf, after one step of iterative refinement through -B^-1 if
-    needed; otherwise Gram-Schmidt gives beta, within 1e-8 ||beta||_inf, or
-    NumericalNullspaceFailure is raised."""
+    ||beta||_inf.  beta from the carried -B^-1 is taken when its residual
+    A beta is within 1e-14 ||beta||_inf; otherwise _factor's beta is taken
+    within 1e-8 ||beta||_inf, or NumericalNullspaceFailure is raised."""
     column = itemgetter(*subset)
     columns = [column(comp) for comp in components]  # component t of the subset's vectors
-    for fresh in ((False, True) if inverse is not None else (True,)):
-        if fresh:
-            beta, inverse = _gauss_jordan(columns)
-        else:
-            a = vectors[subset[-1]]
-            beta = [fsum(map(mul, row, a)) for row in inverse]
-            beta.append(1.0)
-        residual, error, scale = _residual(beta, columns)
-        if not error <= 1e-14 * scale and inverse is not None:
-            refined = [b + fsum(map(mul, row, residual)) for b, row in zip(beta, inverse)]
-            refined.append(1.0)
-            _, refined_error, refined_scale = _residual(refined, columns)
-            if refined_error < error:
-                beta, error, scale = refined, refined_error, refined_scale
+    if inverse is not None:
+        a = vectors[subset[-1]]
+        beta = [fsum(map(mul, row, a)) for row in inverse]
+        beta.append(1.0)
+        error, scale = _residual(beta, columns)
         if error <= 1e-14 * scale:
             return beta, inverse, scale
-    beta = _orthogonal_null_vector([vectors[i] for i in subset])
-    _, error, scale = _residual(beta, columns)
+    beta, inverse = _factor(columns)
+    error, scale = _residual(beta, columns)
     if error <= 1e-8 * scale:
-        return beta, None, scale
+        return beta, inverse, scale
     raise NumericalNullspaceFailure(f"null combination residual {error!r} over indices {subset}")
 
 
@@ -320,8 +291,9 @@ def _eliminate_rows(rows: np.ndarray, values, k: int) -> tuple[np.ndarray, list[
     is carried from round to round as Python lists: when one basis
     coordinate binds, a rank-one (eta) update swaps a in for it; when a
     binds, B stays; anything else (two coordinates land on +/-1, a pivot
-    below 1e-12 ||beta||_inf, a singular B) refactors it next round.
-    _null_vector says how each beta is found and checked."""
+    below 1e-12 ||beta||_inf, a singular B) refactors it next round, and so
+    does a carried beta whose residual is too large.  _null_vector says how
+    each beta is found and checked."""
     d = rows.shape[1]
     vectors, components = rows.tolist(), rows.T.tolist()
     values = np.asarray(values, dtype=float).tolist()
@@ -389,9 +361,10 @@ def eliminate(config: VectorConfig, lam, k: int) -> EliminationResult:
     some coefficient lands exactly on +/-1; the smallest |scale| wins, and a
     tie goes to the positive scale, on which beta's +1 coefficient grows.
     B^-1 is carried between rounds by rank-one updates in Python floats and
-    checked by the residual of every beta; nearly dependent vectors fall
-    back to Gram-Schmidt.  No LAPACK call is made, and the result does not
-    depend on the BLAS kernel.
+    checked by the residual of every beta; when the check fails or no B^-1
+    is carried, Gaussian elimination with partial pivoting and back
+    substitution, which is backward stable, gives beta and B^-1 afresh.  No
+    LAPACK call is made, and the result does not depend on the BLAS kernel.
     """
     if k < config.dim:
         raise ValueError(f"k = {k} must be at least the dimension {config.dim}")

@@ -85,8 +85,11 @@ class ConstructionSpec:
         return random_unit_config(self.d, self.n, self.seed)
 
 # Refuse to build the duplicated-pair family when the classification margin
-# ~c^(2*floor(n/2)) sits within 2^10 of the rounding floor of the working
-# precision: silent misclassification downstream is worse than refusal.
+# sits within 2^10 of the rounding floor of the working precision: silent
+# misclassification downstream is worse than refusal.  With x = c^(2k),
+# k = floor(n/2), the exact margin is 4x / (1 + sqrt(1 - x)), between 2x and
+# 3x for x <= 8/9; the gate compares the upper bound 3x, so it passes
+# margins up to 0.585 bits lower than it assumes.
 _GATE_SLACK_BITS = 10
 
 
@@ -94,12 +97,13 @@ def _margin_gate(n: int, c: float, bits: int):
     k = n // 2
     if k < 1:
         return
-    # log-space comparison; the margins themselves may underflow double.
+    # log-space comparison of the upper bound 3c^(2k); the margins
+    # themselves may underflow double.
     margin_log2 = math.log2(3.0) + 2 * k * math.log2(c)
     floor_log2 = _GATE_SLACK_BITS + 1 - bits
     if margin_log2 <= floor_log2:
         raise PrecisionInsufficient(
-            f"classification margin ~3*c^{2 * k} = 2^{margin_log2:.1f} is not "
+            f"classification margin, at most 3*c^{2 * k} = 2^{margin_log2:.1f}, is not "
             f"representable above the rounding floor of {bits}-bit arithmetic; "
             f"select extended precision"
         )

@@ -21,7 +21,8 @@ The bit-level oracles keep earlier forms of library kernels whose bits the
 library must still produce: ``doubling_sign_table`` and
 ``doubling_half_norms_sq`` build every table by concatenated doubling,
 ``scalar_eliminate_rows`` runs elimination on numpy scalars with explicit
-loops, a full-row Gauss-Jordan and clipping every coefficient each round,
+loops, one full-row Gaussian elimination with back substitution for each
+fresh null vector and clipping every coefficient each round,
 ``loop_validation`` checks a configuration's rows one at a time, and
 ``loop_projection_split`` projects, checks and accumulates the split's
 other vectors one at a time.
@@ -97,13 +98,17 @@ def doubling_half_norms_sq(rows):
 def _scalar_residual(A, beta):
     d, cols = A.shape
     residual = [math.fsum([beta[j] * A[t, j] for j in range(cols)]) for t in range(d)]
-    return residual, math.fsum([abs(r) for r in residual]), max(abs(b) for b in beta)
+    return math.fsum([abs(r) for r in residual]), max(abs(b) for b in beta)
 
 
-def _scalar_gauss_jordan(A):
-    """Gauss-Jordan with partial pivoting on [B | a | I] over full rows."""
+def _scalar_factor(A):
+    """Gaussian elimination with partial pivoting on [B | a | I] over full
+    rows (a zero multiplier leaves its row alone), then back substitution
+    solving U z = -y: +1 at the first column whose pivot is at most 1e-14
+    of the column's largest entry, and -B^-1 when B has full rank."""
     d = A.shape[0]
     m = np.hstack([A, np.eye(d)])
+    rank = d
     for c in range(d):
         p = c
         for t in range(c + 1, d):
@@ -112,85 +117,50 @@ def _scalar_gauss_jordan(A):
         colmax = np.float64(0.0)
         for t in range(d):
             colmax = max(colmax, abs(A[t, c]))
-        if not abs(m[p, c]) > 1e-12 * colmax:
-            beta = np.zeros(d + 1)
-            for t in range(c):
-                beta[t] = -m[t, c]
-            beta[c] = 1.0
-            return beta, None
+        if not abs(m[p, c]) > 1e-14 * colmax:
+            rank = c
+            break
         m[[c, p]] = m[[p, c]]
-        pivot = m[c, c]
-        for j in range(2 * d + 1):
-            m[c, j] = m[c, j] / pivot
-        for t in range(d):
-            if t != c:
-                f = m[t, c]
-                for j in range(2 * d + 1):
+        for t in range(c + 1, d):
+            f = m[t, c] / m[c, c]
+            if f != 0.0:
+                for j in range(c + 1, 2 * d + 1):
                     m[t, j] = m[t, j] - f * m[c, j]
-    return np.append(-m[:, d], 1.0), -m[:, d + 1:]
-
-
-def _scalar_gram_schmidt_null_vector(A):
-    """Classical Gram-Schmidt twice per column in index order; +1 at the
-    first column within 1e-13 of its norm of the earlier columns' span."""
-    d, cols = A.shape
-    basis, heads, pivots = [], [], []
-    for c in range(cols):
-        v = A[:, c].copy()
-        coeffs = np.zeros(len(basis))
-        for _ in range(2):
-            h = [math.fsum([q[t] * v[t] for t in range(d)]) for q in basis]
-            for t in range(d):
-                v[t] = v[t] - math.fsum([h[j] * basis[j][t] for j in range(len(basis))])
-            for j in range(len(basis)):
-                coeffs[j] = coeffs[j] + h[j]
-        norm = math.sqrt(math.fsum([v[t] * v[t] for t in range(d)]))
-        if not norm > 1e-13 * math.sqrt(math.fsum([A[t, c] * A[t, c] for t in range(d)])):
-            x = np.zeros(len(pivots))
-            for i in reversed(range(len(pivots))):
-                x[i] = (coeffs[i] - math.fsum([heads[j][i] * x[j]
-                                               for j in range(i + 1, len(pivots))])) / heads[i][i]
-            beta = np.zeros(cols)
-            beta[c] = 1.0
-            for i, p in enumerate(pivots):
-                beta[p] = -x[i]
-            return beta
-        basis.append(v / norm)
-        heads.append(np.append(coeffs, norm))
-        pivots.append(c)
-    raise AssertionError("d+1 columns in dimension d are dependent")
+    # Right-hand sides: the free column, and the identity's columns too at full rank.
+    sides = list(range(d, 2 * d + 1)) if rank == d else [rank]
+    z = np.zeros((rank, len(sides)))
+    for r in reversed(range(rank)):
+        for k, j in enumerate(sides):
+            acc = -m[r, j]
+            for s in range(r + 1, rank):
+                acc = acc - m[r, s] * z[s, k]
+            z[r, k] = acc / m[r, r]
+    beta = np.zeros(d + 1)
+    beta[:rank] = z[:, 0]
+    beta[rank] = 1.0
+    return beta, (z[:, 1:] if rank == d else None)
 
 
 def _scalar_null_vector(A, inverse):
     """The library's null vector of the d x (d+1) subset matrix A on numpy
-    scalars: from the carried -B^-1 ``inverse`` (a (d, d) array), else from
-    a fresh Gauss-Jordan, each refined once through -B^-1 when its residual
-    passes 1e-14 ||beta||_inf and taken when it is then within it; else by
-    Gram-Schmidt.  Every sum of products is math.fsum of the products, each
-    rounded first, as the library's fsum of map(mul).  Returns beta, the
-    inverse to carry (None when there is none) and max |beta_j|."""
+    scalars: from the carried -B^-1 ``inverse`` (a (d, d) array) when its
+    residual is within 1e-14 ||beta||_inf, else from a fresh factorization,
+    within 1e-8 ||beta||_inf.  Every sum of products is math.fsum of the
+    products, each rounded first, as the library's fsum of map(mul).
+    Returns beta, the inverse to carry (None when there is none) and
+    max |beta_j|."""
     d = A.shape[0]
-    for fresh in ((False, True) if inverse is not None else (True,)):
-        if fresh:
-            beta, inverse = _scalar_gauss_jordan(A)
-        else:
-            beta = np.ones(d + 1)
-            for j in range(d):
-                beta[j] = math.fsum([inverse[j, t] * A[t, d] for t in range(d)])
-        residual, error, scale = _scalar_residual(A, beta)
-        if not error <= 1e-14 * scale and inverse is not None:
-            refined = beta.copy()
-            for j in range(d):
-                refined[j] = beta[j] + math.fsum([inverse[j, t] * residual[t] for t in range(d)])
-            _, refined_error, refined_scale = _scalar_residual(A, refined)
-            if refined_error < error:
-                beta, error, scale = refined, refined_error, refined_scale
+    if inverse is not None:
+        beta = np.ones(d + 1)
+        for j in range(d):
+            beta[j] = math.fsum([inverse[j, t] * A[t, d] for t in range(d)])
+        error, scale = _scalar_residual(A, beta)
         if error <= 1e-14 * scale:
             return beta, inverse, scale
-    beta = _scalar_gram_schmidt_null_vector(A)
-    _, error, scale = _scalar_residual(A, beta)
+    beta, inverse = _scalar_factor(A)
+    error, scale = _scalar_residual(A, beta)
     assert error <= 1e-8 * scale, f"null combination residual {error!r}"
-    return beta, None, scale
+    return beta, inverse, scale
 
 
 def scalar_eliminate_rows(rows, values, k, snap=5e-13):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from signsum.constructions import (
 from signsum.core import SignAssignment, min_signed_norm, validate_config
 from signsum.errors import (
     DegeneratePlane,
+    DimensionMismatch,
     NotOblique,
     NumericalNullspaceFailure,
     ObliquePairPresent,
@@ -100,6 +102,14 @@ class TestGreedy:
         for balancer in (greedy_signs, approximate_point):
             with pytest.raises(OutOfRange, match=r"coefficient 0 = (nan|inf) outside"):
                 balancer(config, [bad, 0.0])
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3,), (1,)])
+    def test_misshapen_lambda_rejected(self, shape):
+        # (1, 2) and (2, 1) hold n = 2 values; the message names the shape.
+        config = validate_config([(1, 0), (0, 1)])
+        for balancer in (greedy_signs, approximate_point):
+            with pytest.raises(DimensionMismatch, match=re.escape(f"shape {shape} for 2 vectors")):
+                balancer(config, np.zeros(shape))
 
     def test_guarantee_is_the_prefix_law_beyond_unit_norm(self):
         """Orthogonal beck-mode vectors of norm 1.05 end exactly at the
@@ -219,7 +229,8 @@ class TestEliminateBits:
     @given(st.integers(2, 6), st.integers(1, 48), st.integers(0, 10**6), st.floats(-15, -4))
     def test_equals_scalar_oracle_on_nearly_dependent_rows(self, d, n, seed, noise):
         # Copies of fewer than d directions plus noise at 10^noise: the
-        # carried inverse, the fresh Gauss-Jordan and Gram-Schmidt all serve.
+        # carried inverse and fresh factorizations of full and lower rank
+        # all serve.
         rng = np.random.default_rng(seed)
         rank = int(rng.integers(1, d))
         base = random_unit_config(d, rank, seed=seed).as_array()
@@ -281,25 +292,34 @@ class TestEliminateBits:
         assert all(values[i] == x for i, x in fixed)
         assert np.max(np.abs(values @ rows - lam @ rows), initial=0.0) <= 1e-12 * n
 
-    @pytest.mark.parametrize("noise", [1e-13, 1e-12, 1e-11, 1e-10])
-    def test_nearly_dependent_subsets(self, noise):
-        """Copies of two directions in R^6 plus noise near the 1e-12 pivot
-        tolerance: Gauss-Jordan's inverse is too inexact to refine, and the
-        Gram-Schmidt null vector keeps the weighted sum within 1e-12 n."""
-        for seed in range(12):
-            rng = np.random.default_rng(seed)
-            base = random_unit_config(6, 2, seed=seed).as_array()
-            rows = base[rng.integers(0, 2, 40)] + noise * rng.standard_normal((40, 6))
-            lam = rng.uniform(-1, 1, 40)
-            values, fractional = balancing._eliminate_rows(rows, lam, 6)
-            assert np.max(np.abs(values @ rows - lam @ rows)) <= 1e-12 * 40
-            assert len(fractional) <= 6 and np.all(np.abs(values) <= 1.0)
+    @pytest.mark.parametrize("noise", [1e-15, 1e-13, 1e-12, 1e-11, 1e-10, 1e-8, 1e-6, 1e-4])
+    @pytest.mark.parametrize("family", ["copies", "rank"])
+    def test_nearly_dependent_subsets(self, family, noise):
+        """Copies of fewer than d directions, or vectors in a subspace of
+        rank below d, plus noise on both sides of the 1e-14 pivot tolerance,
+        at d = 3..8: no NumericalNullspaceFailure, at most d coordinates
+        stay fractional and the weighted sum stays within 1e-12 n."""
+        for d in range(3, 9):
+            for seed in range(5):
+                rng = np.random.default_rng([seed, d])
+                rank = int(rng.integers(1, d))
+                if family == "copies":
+                    base = random_unit_config(d, rank, seed=seed).as_array()
+                    rows = base[rng.integers(0, rank, 40)] * rng.choice([-1.0, 1.0], (40, 1))
+                else:
+                    rows = rng.standard_normal((40, rank)) @ rng.standard_normal((rank, d))
+                    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+                rows += noise * rng.standard_normal(rows.shape)
+                lam = rng.uniform(-1, 1, 40)
+                values, fractional = balancing._eliminate_rows(rows, lam, d)
+                assert np.max(np.abs(values @ rows - lam @ rows)) <= 1e-12 * 40
+                assert len(fractional) <= d and np.all(np.abs(values) <= 1.0)
 
     @pytest.mark.parametrize("sigma", [1e-4, 1e-6, 1e-8])
     def test_near_parallel_clusters(self, sigma):
         """Three clusters of ten near-parallel unit vectors make every basis
-        ill-conditioned: the A8 contract holds, and refinement keeps the
-        weighted sum within 1e-12 n."""
+        ill-conditioned: the A8 contract holds, and the weighted sum stays
+        within 1e-12 n."""
         for seed in range(12):
             rng = np.random.default_rng(seed)
             rows = np.repeat(np.eye(3), 10, axis=0) + sigma * rng.standard_normal((30, 3))
@@ -519,6 +539,11 @@ class TestProjectionSplit:
         with pytest.raises(NotOblique):
             projection_split(config, zeta=1e-3)
         with pytest.raises(NotOblique):
+            projection_split(config, pair=(0, 1), zeta=1e-3)
+
+    def test_needs_three_dimensions(self):
+        config = validate_config([(1, 0), (0.5, math.sqrt(0.75)), (0, 1)])
+        with pytest.raises(ValueError, match="d >= 3"):
             projection_split(config, pair=(0, 1), zeta=1e-3)
 
     @pytest.mark.parametrize("seed", range(200))
@@ -916,6 +941,11 @@ class TestFalsifier:
     def test_non_finite_r_rejected(self, r):
         with pytest.raises(OutOfRange):
             approximation_falsifier(validate_config([(1, 0), (0, 1)]), r, budget=1)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="budget must be >= 1"):
+            approximation_falsifier(validate_config([(1, 0), (0, 1)]), 1.0, budget=budget)
 
     def test_cap(self, monkeypatch):
         monkeypatch.setattr(core, "ENUMERATION_CAP", 6)

@@ -265,6 +265,8 @@ class TestFlags:
          ["enumerate", "--config", "c.json", "--r", "1", "--precision", "ext:128"]),
         ({"c.json": {"dim": 2, "vectors": [[1.0, 0.0]], "norm_tolerance": True}},
          ["enumerate", "--config", "c.json", "--r", "1"]),
+        ({"c.json": {"dim": 2, "vectors": [[1, 0]], "mode": "loose"}},
+         ["enumerate", "--config", "c.json", "--r", "1"]),
         ({"lam.json": [True, 0, 0]}, ["balance", "--construct", "orthomult:2:1,2",
                                       "--algo", "greedy", "--lambda", "lam.json"]),
     ])

@@ -145,6 +145,12 @@ class TestTightFamily:
         with pytest.raises(NotOrthogonal):
             construct_tight_family(v3=(0, 1, 0), v4=(0, 0.8, 0.6))
 
+    @pytest.mark.parametrize("placement", [{"v1": (1.0, 0.0)}, {"v3": (0, 1, 0, 0)},
+                                           {"v4": (0.0, 0.0, 1.0, 0.0)}])
+    def test_family_lives_in_r3(self, placement):
+        with pytest.raises(ValueError, match="the family lives in R"):
+            construct_tight_family(**placement)
+
 
 class TestConstructionSpec:
     def test_builds_match_direct_calls(self):

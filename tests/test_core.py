@@ -101,6 +101,17 @@ class TestEnumerate:
         assert report.probability == Fraction(1, 2)
         assert report.min_norm == 0.0
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"hits": 5}, "hit count outside"),
+        ({"hits": -1}, "hit count outside"),
+        ({"band_count": 3}, "band count outside"),
+        ({"probability": Fraction(1, 4)}, "exactly hits/total"),
+    ])
+    def test_report_invariants_enforced(self, fields, message):
+        report = enumerate_signed_sums(validate_config([(1, 0), (1, 0)]), 1.0)
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(report, **fields)
+
     def test_orthonormal_boundary(self):
         config = validate_config([(1, 0), (0, 1)])
         report = enumerate_signed_sums(config, math.sqrt(2))

@@ -79,6 +79,11 @@ class TestChord:
 
 
 class TestNearestOrthonormal:
+    @pytest.mark.parametrize("columns", [np.ones((2, 3)), np.ones(3), np.ones((1, 2, 2))])
+    def test_non_square_rejected(self, columns):
+        with pytest.raises(ValueError, match="square matrix"):
+            nearest_orthonormal(columns, 0.1)
+
     def test_orthonormal_input_is_fixed_point(self):
         eye = np.eye(4)
         out = nearest_orthonormal(eye, 0.0)

@@ -60,6 +60,10 @@ class TestPolicy:
             PrecisionPolicy("double", 64)
         with pytest.raises(ValueError):
             PrecisionPolicy("double", 53, -1e-9)
+        with pytest.raises(ValueError, match="unknown precision mode 'quad'"):
+            PrecisionPolicy("quad")
+        with pytest.raises(ValueError, match="at least 53 bits"):
+            PrecisionPolicy("interval", 52)
 
     @pytest.mark.parametrize("text", ["ext:128:junk", "interval:64:x", "extended:70:1"])
     def test_rejects_trailing_fields(self, text):
