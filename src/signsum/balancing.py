@@ -44,6 +44,7 @@ from .core import (
     SignAssignment,
     VectorConfig,
     check_enumerable,
+    least_window,
     min_signed_norm,
     sign_columns,
 )
@@ -702,9 +703,30 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
 
 _ASCENT_LADDER = (0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008, 0.004, 0.002, 0.001)
 _MAX_SWEEPS_PER_STEP = 8
-# Byte budget 2^n * (n + d) * 8 for the falsifier's tables: the n inner
-# products and the d coordinates of every signed sum.  Keeps n <= 20 at d <= 12.
+# Byte budget for one call's sign tables: the falsifier's 2^n * (n + d) * 8,
+# the n inner products and the d coordinates of every signed sum, and the
+# search's half-table pair, 2^n * n * 8.  Keeps the falsifier to n <= 20 at
+# d <= 12 and the search to n <= 20.
 FALSIFIER_BYTES = 1 << 28
+# A batch of candidates scores at most max(2^n, _SCORES) sums at once.
+_SCORES = 1 << 12
+
+
+def _active(norms: np.ndarray, value: float, shift: float, drift: float) -> np.ndarray:
+    """Indices of the sums whose maintained norm^2 is within ``least_window``
+    of the least, ``value``, for moves of at most ``shift``.  A NaN norm^2
+    stays in, as it would in a minimum over the whole table."""
+    bound = least_window(math.sqrt(max(value, 0.0)), shift, drift)  # drift may take value below 0
+    return np.logical_not(norms > bound).nonzero()[0]
+
+
+def _candidate_minima(inner: np.ndarray, norms: np.ndarray, near: np.ndarray,
+                      ts: np.ndarray) -> np.ndarray:
+    """The least of norms^2 + 2t <v_i, s> over the sums ``near``, for each
+    row i of ``inner`` and each step t in row i of ``ts``."""
+    scored = inner.take(near, axis=1)[:, None, :] * (2.0 * ts)[:, :, None]
+    scored += norms.take(near)
+    return scored.min(axis=2)
 
 
 def approximation_falsifier(
@@ -721,13 +743,37 @@ def approximation_falsifier(
     lam V + tail of ``sign_columns`` split tables, and keeps each sum's
     norm^2 (summed over the components in index order) and inner products
     with each v_i.  A move lam_i += t then scores min(norms + 2t inner_i) +
-    t^2 ||v_i||^2, one pass over the 2^n sums, and an accepted move updates
-    both arrays.  Those updates drift, so each start's value is settled on
-    the table rebuilt at its final lam: reported g values are exact over all
+    t^2 ||v_i||^2, and an accepted move updates both arrays over all 2^n
+    sums.  Those updates drift, so each start's value is settled on the
+    table rebuilt at its final lam: reported g values are exact over all
     2^n assignments, and absence of a witness is evidence, not proof.  Start
     points mix the zonotope centre, uniform coefficients, and points inside
     random d-dimensional sub-parallelotopes (the regions that cover the zonotope).
     Raises TooLarge when the tables would pass FALSIFIER_BYTES.
+
+    A candidate is scored only on the active sums, those within
+    ``least_window`` of the least maintained norm^2 for a move of
+    step * max ||v_i||, and a sweep scores its candidates in batches on
+    them; after an accepted move the active set is found afresh and scoring
+    starts again at the next coordinate.  The active minimum is the full
+    minimum, to the bit:
+
+    * Take the sums x_s as exact vectors: the start's computed table plus
+      the exact moves t v_i.  With |lam_i| <= 1 every ||x_s|| is at most
+      sqrt(M) = 2 sum ||v_i||, and |t| <= 1/2.
+    * Drift: the start's norms^2 and inner products are off by gamma_d M
+      and gamma_d max ||v_i|| sqrt(M) (Higham (3.5)), and each move adds a
+      few roundings of at most u M to a norm^2, u = 2^-53, plus 2|t| times
+      the inner product's error, which grows by (d + 2) u max ||v_i|| sqrt(M)
+      a move.  After k moves a score N_s + 2t <v_i, s> is therefore within
+      F = (k + 2)^2 (d + 4) u M of ||x_s + t v_i||^2 - t^2 ||v_i||^2, and N_s
+      within F of ||x_s||^2.  A start makes k <= 80n moves: 10 rungs of at
+      most 8 sweeps, each moving a coordinate at most once.
+    * Triangle inequality: ||x_s + t v_i|| >= ||x_s|| - |t| ||v_i|| and, for
+      the sum a whose N_a is the least, ||x_a + t v_i|| <= ||x_a|| + |t| ||v_i||.
+      So s scores strictly more than a once ||x_s|| > ||x_a|| + 2|t| ||v_i||
+      + sqrt(2F), which holds when sqrt(N_s) > sqrt(N_a) + 2|t| ||v_i||
+      + 4 sqrt(F): 4 sqrt(F) at k = 80n is the window's drift margin.
     """
     n, d = config.n, config.dim
     check_enumerable(n)
@@ -749,6 +795,9 @@ def approximation_falsifier(
     gram = rows @ rows.T
     columns = gram[:, :, None]  # columns[i] is <v_i, v_j> as an (n, 1) column
     diagonal = gram.diagonal().tolist()
+    reach = math.sqrt(max(diagonal))  # a move of t shifts every sum by at most |t| reach
+    moves = len(_ASCENT_LADDER) * _MAX_SWEEPS_PER_STEP * n
+    drift = 4.0 * (moves + 2) * math.sqrt((d + 4) * 2.0**-53) * 2.0 * sum(map(math.sqrt, diagonal))
     rng = np.random.default_rng(seed)
     best_val = -1.0
     best_lam = None
@@ -767,37 +816,47 @@ def approximation_falsifier(
         norms = np.square(shifted, out=shifted).sum(axis=0)  # over components in index order
         value = float(norms.min())
         del shifted
-        scored, kept = np.empty_like(norms), np.empty_like(norms)
         for step in _ASCENT_LADDER:
+            near = _active(norms, value, step * reach, drift)
             for _ in range(_MAX_SWEEPS_PER_STEP):
                 improved = False
-                for i in range(n):
-                    # Both candidates are scored on the table at lam[i], and
-                    # the table moves once, to the one taken.  At the centre
-                    # start the table is then exactly symmetric under
-                    # lam -> -lam, as g is, so +step and -step tie exactly.
-                    origin = base = float(lam[i])
-                    for cand in (base + step, base - step):
-                        cand = min(1.0, max(-1.0, cand))
-                        if cand == base:
-                            continue
-                        t = cand - origin
-                        np.multiply(inner[i], 2.0 * t, out=scored)
-                        scored += norms
-                        val = float(scored.min()) + t * t * diagonal[i]
-                        if val > value:
-                            value = val
-                            base = cand
-                            improved = True
-                            scored, kept = kept, scored
-                    if base != origin:
-                        t = base - origin
-                        np.add(kept, t * t * diagonal[i], out=norms)
-                        inner += t * columns[i]
-                        lam[i] = base
+                i = 0
+                while i < n:
+                    # Score the candidates of coordinates i, i + 1, ... on the
+                    # table at lam, until one is taken: the table then moves,
+                    # and scoring starts again at the next coordinate.  Both
+                    # candidates of a coordinate are scored on the table at
+                    # lam[i], and the table moves once, to the one taken.  At
+                    # the centre start the table is then exactly symmetric
+                    # under lam -> -lam, as g is, so +step and -step tie exactly.
+                    last = min(n, i + max(1, max(1 << n, _SCORES) // (2 * len(near))))
+                    origins = lam[i:last].tolist()
+                    cands = [[min(1.0, max(-1.0, c)) for c in (o + step, o - step)] for o in origins]
+                    ts = [[c - o for c in pair] for o, pair in zip(origins, cands)]
+                    lows = _candidate_minima(inner[i:last], norms, near, np.array(ts)).tolist()
+                    for at, origin, pair, shifts, low in zip(range(i, last), origins, cands, ts, lows):
+                        base = origin
+                        for cand, t, least in zip(pair, shifts, low):
+                            if cand == origin:
+                                continue
+                            val = least + t * t * diagonal[at]
+                            if val > value:
+                                value = val
+                                base = cand
+                                taken = t
+                                improved = True
+                        if base != origin:
+                            t = taken  # + commutes: the bits of the scored table plus t^2 ||v_i||^2
+                            norms += inner[at] * (2.0 * t)
+                            norms += t * t * diagonal[at]
+                            inner += t * columns[at]
+                            lam[at] = base
+                            near = _active(norms, value, step * reach, drift)
+                            break
+                    i = at + 1
                 if not improved:
                     break
-        del norms, inner, scored, kept  # they drift; settle the start on a rebuilt table
+        del norms, inner  # they drift; settle the start on a rebuilt table
         value = float((table(lam) ** 2).sum(axis=0).min())
         if value > best_val:
             best_val = value

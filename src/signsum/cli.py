@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import __version__, balancing, constructions, jsonio, search as search_mod
 from .constructions import ConstructionSpec
 from .core import enumerate_signed_sums, min_signed_norm
-from .errors import AmbiguousClassification, PrecisionInsufficient, SignsumError
+from .errors import AmbiguousClassification, OutOfRange, PrecisionInsufficient, SignsumError
 from .precision import PrecisionPolicy
 
 EXIT_OK = 0
@@ -228,6 +228,8 @@ def cmd_sweep(args, argv) -> int:
 
 
 def cmd_decay(args, argv) -> int:
+    if not 0 <= args.r < math.inf:  # before the loop, which may skip every n
+        raise OutOfRange(f"radius must be finite and nonnegative, got {args.r!r}")
     policy = _policy(args)
     families = args.families.split(",")
     n_list = [int(x) for x in args.n_list.split(",")]

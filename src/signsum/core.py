@@ -327,6 +327,43 @@ def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:
         return math.inf
 
 
+def least_window(least, shift, margin=0.0):
+    """A norm^2 past which no sum can become the least after a move of at
+    most ``shift``: with L the least computed norm^2 and ``least`` its
+    computed square root, the float (elementwise on arrays)
+
+        B = (least + 2 shift + margin)^2 (1 + 2^-20) + 2^-1022.
+
+    Let every sum s, a float d-vector whose computed norm^2 N(s) adds its
+    squares in component order, move to fl(s + delta_s), each delta_s a
+    float vector with ||delta_s|| <= shift, and let N'(s) be the computed
+    norm^2 of the moved sum.  Let a attain L.
+
+    * Triangle inequality: ||s + delta_s|| >= ||s|| - shift and
+      ||a + delta_a|| <= ||a|| + shift, so in exact arithmetic a sum with
+      ||s|| > ||a|| + 2 shift ends strictly longer than a.
+    * Rounding, with u = 2^-53 and gamma_k = k u / (1 - k u): a coordinate
+      of fl(s + delta) is within u of the exact one, and a norm^2 summed in
+      component order is within gamma_d of the exact one (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., (3.5)), both
+      relative, plus d * 2^-1075 for squares that underflow.  So, leaving
+      underflow aside, N'(s) > N'(a) whenever
+      sqrt(N(s)) > (sqrt(L) + 2 shift)(1 + 3 gamma_(d+2)).
+    * B's own roundings, the rounding of ``least``, and a ``shift`` computed
+      with rounding from the float deltas cost a few u more, and
+      (1 + 2^-20) covers all of these together for d < 2^30; 2^-1022 covers
+      the underflow terms, at most 4d * 2^-1075 in all.
+
+    Every sum with N(s) > B therefore ends with N'(s) > N'(a), strictly
+    longer than a after the move, while a itself has N(a) = L <= B: the
+    least N' over the sums with N <= B is the least over all of them, to
+    the bit.  ``margin`` widens the window by a length that covers norms^2
+    maintained apart from the vectors they stand for, as the falsifier's are
+    (its docstring bounds that drift).
+    """
+    return (least + 2.0 * shift + margin) ** 2 * (1.0 + 2.0**-20) + 2.0**-1022
+
+
 def _dyadic(x) -> tuple[int, int]:
     """(m, e) with x = m * 2^e exactly, for an int, a float or an mpf."""
     if hasattr(x, "_mpf_"):

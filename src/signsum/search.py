@@ -17,8 +17,11 @@ the first proposal it accepts and jumping past it.  Picks and noise are
 padded by K zero steps, so a round reads past the window's end without
 clipping.  K falls as the table grows and R restarts fit their sums,
 squares and padded window draws in LOCKSTEP_BYTES; no result depends on
-either.  Restarts merge deterministically; the best value is re-verified
-by exact enumeration.
+either.  From WINDOWED_SUMS sums up, a round scores its proposals only on
+the sums within ``least_window`` of some live restart's least norm: by the
+triangle inequality no other sum can become the least after a move, so
+trajectories and values keep their bits.  Restarts merge
+deterministically; the best value is re-verified by exact enumeration.
 """
 
 from __future__ import annotations
@@ -29,7 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VectorConfig, check_enumerable, min_signed_norm, sign_columns
+from . import balancing
+from .core import VectorConfig, check_enumerable, least_window, min_signed_norm, sign_columns
+from .errors import TooLarge
 
 COUNTEREXAMPLE_MARGIN = 1e-6
 # Byte budget for a block of R restarts: a round's R * K * d * 2^(n-1) * 8
@@ -85,7 +90,7 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     maximum, ties to the lowest restart index.  A configuration beating
     sqrt(d-1) at mismatched parity is flagged as a counterexample candidate.
     """
-    check_enumerable(spec.n)  # before the 2^n sign table is built
+    _check_tables(spec.n)
     best_value = -1.0
     best_rows = None
     history: list[tuple[float, ...]] = []
@@ -123,14 +128,29 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     )
 
 
-def _min_norms(sums: np.ndarray) -> np.ndarray:
-    """Least norm over the last axis of sums (..., d, m), each norm^2 summed in
-    component order (add.reduce is not sequential at m = 1, d >= 8)."""
+def _check_tables(n: int):
+    """Raise TooLarge, before any table is built, past the enumeration cap or
+    when the half-table pair of 2^n * n * 8 bytes would pass the byte budget
+    that the falsifier's tables share, FALSIFIER_BYTES, read at call time."""
+    check_enumerable(n)
+    if (size := n * 8 << n) > balancing.FALSIFIER_BYTES:
+        raise TooLarge(f"the search's sign tables for n = {n} take {size} bytes, "
+                       f"past FALSIFIER_BYTES = {balancing.FALSIFIER_BYTES}")
+
+
+def _norms_sq(sums: np.ndarray) -> np.ndarray:
+    """Norms^2 (..., m) of sums (..., d, m), each summed in component order
+    (add.reduce is not sequential at m = 1, d >= 8)."""
     squares = sums * sums
     total = squares[..., 0, :]
     for k in range(1, sums.shape[-2]):
         total = total + squares[..., k, :]
-    return np.sqrt(total.min(axis=-1))
+    return total
+
+
+def _least(norms_sq: np.ndarray) -> np.ndarray:
+    """Least norm over the last axis of norms^2 (..., m)."""
+    return np.sqrt(norms_sq.min(axis=-1))
 
 
 @functools.lru_cache(maxsize=4)
@@ -149,8 +169,8 @@ def _half_table(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _restarts(spec: SearchSpec):
     """Yield each restart's (rows, trace, settled value) in restart order,
     climbing one block of restarts at a time.  A block's size counts, per
-    restart, K proposals of sums and squares and a window of draws with
-    its K steps of padding."""
+    restart, K proposals of sums and squares, a window of draws with its K
+    steps of padding, and on a windowed table its sums' norms^2."""
     small = (8 << spec.n) * spec.n <= LOCKSTEP_BYTES
     tables = (_half_table if small else _half_table.__wrapped__)(spec.n)
     sums = 1 << (spec.n - 1)
@@ -162,7 +182,8 @@ def _restarts(spec: SearchSpec):
     # into place: at most 17 + 16d bytes a step.  The rest of 18 + 24d is
     # left to a round's (R, K, 2^(n-1)) and (R, K, d) arrays.
     window = WINDOW * (18 + 24 * spec.d)
-    block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window))
+    norms = 8 * sums if sums >= WINDOWED_SUMS else 0
+    block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window + norms))
     for first in range(0, spec.restarts, block):
         chunk = range(first, min(first + block, spec.restarts))
         yield from zip(*_climb(spec, tables, chunk, ahead))
@@ -174,6 +195,20 @@ def _proposals(sums: int) -> int:
     return min(32, max(6, math.isqrt(65536 // sums)))
 
 
+# Half tables of at least this many sums score a round's proposals on the
+# sums that can become the least (``least_window``), and keep each sum's
+# norm^2 to find them.  At d = 3 the window's own cost per round, a pass
+# over the norms^2 and two gathers, made a search 2-10 % slower at 2^6 sums
+# (n = 7) and paid from 2^7 up: 3 % less time at n = 8, 11 % at n = 9 and
+# 40 % at n = 11.
+WINDOWED_SUMS = 1 << 7
+# A round whose window keeps more than this share of the sums scores them
+# all, as gathering them costs more than the window saves.  Sums crowd
+# towards the least as d grows: at n = 11 the window kept 19 % of them at
+# d = 3, 37 % at d = 8, 80 % at d = 16 and all at d = 32.
+WINDOW_SHARE = 0.5
+
+
 def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
     """Run the given restarts together on one (R, d, 2^(n-1)) sum table, in
     rounds of K = ``ahead`` proposals (fewer in a shorter window), with the
@@ -183,7 +218,15 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
     back and its cursor jumps past it, else past all K.  The scan stops at
     the window's end, where K zero steps of padding keep the round's reads
     in bounds; sums are gathered by restart only once some restart has left
-    the window."""
+    the window.
+
+    On a table of WINDOWED_SUMS or more sums, each restart keeps its sums'
+    norms^2, and a round scores its proposals only on the sums that some
+    live restart's ``least_window`` keeps for the round's longest move,
+    unless they are more than WINDOW_SHARE of the table: the least over them
+    is the least over the whole table, to the bit.  A proposal accepted in
+    a windowed round is added to the restart's full row, whose norms^2 are
+    summed afresh, so the stored sums keep the bits of the full update."""
     half, columns = tables
     rngs = [np.random.default_rng([spec.seed, r]) for r in restarts]
     count, n, d = len(rngs), spec.n, spec.d
@@ -191,7 +234,10 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     vectors = rows.reshape(-1, d)  # row r * n + i is vector i of restart r
     sums = (half @ rows).transpose(0, 2, 1).copy()
-    values = _min_norms(sums).tolist()
+    totals = _norms_sq(sums)
+    values = _least(totals).tolist()
+    windowed = sums.shape[2] >= WINDOWED_SUMS
+    norms = totals if windowed else None
     traces = [[v] for v in values]
     everyone = np.arange(count)[:, None]
     step = spec.step_init
@@ -220,18 +266,38 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
             picked = picks.take(at)
             old = vectors.take(picked + who * n, axis=0)
             moved = old + kicks.take(at, axis=0)
-            # vecdot rounds as the 1-D norm does; norm(axis=-1) and einsum do not.
+            # vecdot rounds as the serial climb's 1-D vecdot does on OpenBLAS's
+            # SkylakeX kernel, not on Prescott (ROADMAP item 15); norm(axis=-1)
+            # and einsum differ even there.
             moved /= np.sqrt(np.vecdot(moved, moved))[..., None]
-            signs = columns.take(picked.ravel(), axis=0)[:, None, :]
-            new_sums = (signs * (moved - old).reshape(-1, d, 1)).reshape(len(live), k, d, -1)
+            update = moved - old
+            signs, base, near = columns, sums, None
+            if windowed:
+                shifts = np.sqrt(np.vecdot(update, update)).max(axis=1).tolist()
+                within = np.zeros(sums.shape[2], dtype=bool)
+                for r, shift in zip(live, shifts):
+                    within |= norms[r] <= least_window(values[r], shift)
+                kept = within.nonzero()[0]
+                if kept.size <= WINDOW_SHARE * within.size:
+                    near = kept
+                    signs, base = columns.take(near, axis=1), sums.take(near, axis=2)
+            signs = signs.take(picked.ravel(), axis=0)[:, None, :]
+            new_sums = (signs * update.reshape(-1, d, 1)).reshape(len(live), k, d, -1)
             # + commutes: the bits of sums + update.
-            new_sums += sums[:, None] if who is everyone else sums[who]
-            for j, (r, new) in enumerate(zip(live, _min_norms(new_sums).tolist())):
+            new_sums += base[:, None] if who is everyone else base[who]
+            totals = _norms_sq(new_sums)
+            for j, (r, new) in enumerate(zip(live, _least(totals).tolist())):
                 place, current = cursor[r], values[r]
                 for i, value in enumerate(new[: width - place]):
                     if value >= current and (value > current or heads[r, place + i]):
                         rows[r, picked[j, i]] = moved[j, i]
-                        sums[r] = new_sums[j, i]
+                        if near is None:
+                            sums[r] = new_sums[j, i]
+                            if windowed:
+                                norms[r] = totals[j, i]
+                        else:
+                            sums[r] += columns[picked[j, i]] * update[j, i, :, None]
+                            norms[r] = _norms_sq(sums[r])
                         values[r] = value
                         if value > current:
                             traces[r].append(value)
@@ -240,11 +306,12 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
                 else:
                     place += k
                 cursor[r] = place
+            del totals  # before the next round builds its sums, as new_sums is replaced
             live = [r for r in live if cursor[r] < width]
         del picks, kicks, heads  # the window goes before the next one is drawn
     # Incremental updates drift; settle each restart's value from scratch
     # (the trace keeps the incremental values so it stays nondecreasing).
-    return rows, traces, _min_norms((half @ rows).transpose(0, 2, 1)).tolist()
+    return rows, traces, _least(_norms_sq((half @ rows).transpose(0, 2, 1))).tolist()
 
 
 def _balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:
@@ -277,6 +344,9 @@ def parity_sweep(
     """
     from .constructions import construct_orthonormal_multiplicity
 
+    if d_max < 1 or n_max < 1:
+        raise ValueError(f"need d_max >= 1 and n_max >= 1, got {d_max} and {n_max}")
+    _check_tables(n_max)  # before the first search of the grid
     table = []
     for d in range(1, d_max + 1):
         for n in range(1, n_max + 1):

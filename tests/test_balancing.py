@@ -1058,6 +1058,65 @@ class TestMaintainedTable:
         assert peak <= (n + d + 4) * 8 << n
 
 
+@st.composite
+def _falsifier_inputs(draw):
+    """A configuration with d 1-8 and n 1-14, mostly tie-heavy: random unit
+    vectors, orthonormal multiplicities, antipodal pairs, the exponential
+    family, or beck-mode vectors with norms up to 1 + tol."""
+    kind = draw(st.sampled_from(["random", "orthomult", "antipodal", "exponential", "beck"]))
+    if kind == "exponential":
+        return construct_exponential(draw(st.sampled_from([1, 3, 5, 7, 9, 11])))
+    d = draw(st.integers(1, 8))
+    if kind == "orthomult":
+        most = min(3, 14 // d)
+        return construct_orthonormal_multiplicity(d, draw(st.lists(
+            st.integers(1, most), min_size=d, max_size=d)))
+    n = draw(st.integers(1, 7 if kind == "antipodal" else 14))
+    seed = draw(st.integers(0, 2**16))
+    rows = random_unit_config(d, n, seed=seed).as_array()
+    if kind == "antipodal":
+        return validate_config(np.concatenate([rows, -rows]).tolist())
+    if kind == "beck":
+        tol = draw(st.sampled_from([1e-9, 1e-3, 0.1]))
+        rows *= np.random.default_rng(seed).uniform(0.0, 1.0 + tol, n)[:, None]
+        rows[0] *= (1.0 + tol) * (1.0 - 1e-12) / np.linalg.norm(rows[0])
+        return validate_config(rows.tolist(), mode="beck", tolerance=tol)
+    return validate_config(rows.tolist())
+
+
+class TestActiveSet:
+    """Each candidate is scored on the sums within least_window of the least
+    maintained norm^2, and that minimum is the whole table's, to the bit."""
+
+    @staticmethod
+    def _run(config, budget, seed):
+        """The falsifier, checking every batch of candidate minima against the
+        same minima over all sums; returns the share of sums it scored."""
+        scored = []
+        minima = balancing._candidate_minima
+
+        def checked(inner, norms, near, ts):
+            active = minima(inner, norms, near, ts)
+            whole = minima(inner, norms, np.arange(norms.size), ts)
+            assert active.tobytes() == whole.tobytes()
+            scored.append(near.size / norms.size)
+            return active
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(balancing, "_candidate_minima", checked)
+            approximation_falsifier(config, 1.0, budget=budget, seed=seed)
+        return sum(scored) / len(scored)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_falsifier_inputs(), st.integers(1, 3), st.integers(0, 2**16))
+    def test_active_minimum_is_the_whole_minimum(self, config, budget, seed):
+        self._run(config, budget, seed)
+
+    def test_active_set_is_a_small_share_of_a_wide_table(self):
+        """At n = 12 the candidates are scored on under a tenth of the sums."""
+        assert self._run(random_unit_config(3, 12, seed=8), 2, 8) < 0.1
+
+
 class TestSoundnessAgainstOracle:
     @pytest.mark.parametrize("seed", range(15))
     def test_balancers_bracketed_by_oracle_and_guarantee(self, seed):

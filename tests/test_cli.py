@@ -164,6 +164,21 @@ class TestExitCodes:
         assert out == ""
         assert "falsifier:" not in err and "best_value" not in err and "hits" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--dmax", "0", "--nmax", "2"],
+        ["sweep", "--dmax", "2", "--nmax", "0"],
+        ["sweep", "--dmax", "1", "--nmax", "30"],
+        ["decay", "--d", "2", "--n-list", "4", "--r", "nan"],
+        ["decay", "--d", "2", "--n-list", "4", "--r", "-1"],
+        ["search", "--d", "3", "--n", "30", "--restarts", "1", "--steps", "1"],
+    ])
+    def test_empty_or_unbuildable_work_is_validation(self, workdir, capsys, argv):
+        """An empty grid, a radius that no listed n would reach the check for,
+        and sign tables past the byte budget exit 2 before any output."""
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+
 
 # The shared flags each subcommand reads; it must accept no other of them.
 SHARED_FLAGS = {

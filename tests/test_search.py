@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signsum import core, search
+from signsum import balancing, core, search
 from signsum.core import min_signed_norm
 from signsum.errors import TooLarge
 from signsum.search import (
@@ -263,6 +263,101 @@ class TestSpeculation:
             climbs.append(k) or climb(spec, half, restarts, k)))
         maximize_min_norm(SearchSpec(d=3, n=n, restarts=1, steps=3, seed=36))
         assert climbs == [ahead]
+
+
+@st.composite
+def _window_cases(draw):
+    """A spec with d 1-8 and n 1-14 (at d = 1, possibly with step_init = 4
+    flipping signs, so that values tie)."""
+    d = draw(st.integers(1, 8))
+    ties = d == 1 and draw(st.booleans())
+    return SearchSpec(d=d, n=draw(st.integers(1, 14)), restarts=draw(st.integers(1, 4)),
+                      steps=draw(st.integers(1, 80)), seed=draw(st.integers(0, 2**16)),
+                      **(dict(step_init=4.0, step_decay=1.0) if ties else {}))
+
+
+class TestWindow:
+    """A windowed round scores its proposals on the sums within least_window
+    of each live restart's least, and gets the whole table's least norms."""
+
+    @staticmethod
+    def _scored(spec, share, whole):
+        """The result and every least-norm array the search computes, with
+        every table windowed and WINDOW_SHARE = ``share``; ``whole`` widens
+        each window to the whole table."""
+        scored = []
+        least = search._least
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "WINDOWED_SUMS", 1)
+            m.setattr(search, "WINDOW_SHARE", share)
+            m.setattr(search, "_least", lambda norms_sq: scored.append(least(norms_sq)) or scored[-1])
+            if whole:
+                m.setattr(search, "least_window", lambda least, shift: math.inf)
+            return maximize_min_norm(spec), scored
+
+    @pytest.mark.parametrize("share", [0.5, 1.0])
+    @settings(max_examples=100, deadline=None)
+    @given(spec=_window_cases())
+    def test_window_keeps_the_least_of_every_proposal(self, share, spec):
+        """At share 1 every round scores its window, against the whole table
+        gathered; at share 0.5 wide windows score the whole table in place."""
+        result, windowed = self._scored(spec, share, whole=False)
+        reference, whole = self._scored(spec, share, whole=True)
+        assert [a.tobytes() for a in windowed] == [a.tobytes() for a in whole]
+        assert result == reference
+
+    def test_window_drops_most_sums_of_a_wide_table(self):
+        """The window is no wider than it must be: at n = 12 a round scores
+        under a fifth of the half table."""
+        widths = []
+        least = search._least
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(search, "_least", lambda norms_sq: widths.append(norms_sq.shape) or
+                      least(norms_sq))
+            maximize_min_norm(SearchSpec(d=3, n=12, restarts=2, steps=150, seed=4))
+        rounds = [shape[-1] for shape in widths if len(shape) == 3]  # (R, K, sums) a round
+        assert len(rounds) > 20 and sum(rounds) < len(rounds) * 2**11 / 5
+
+    @pytest.mark.parametrize("n, windowed", [(4, False), (7, False), (8, True), (11, True)])
+    def test_windowed_from_windowed_sums(self, monkeypatch, n, windowed):
+        """Tables of WINDOWED_SUMS or more sums (n >= 8) are windowed; smaller
+        ones score every sum as before."""
+        calls = []
+        window = search.least_window
+        monkeypatch.setattr(search, "least_window", lambda *args: calls.append(args) or window(*args))
+        maximize_min_norm(SearchSpec(d=3, n=n, restarts=1, steps=20, seed=5))
+        assert bool(calls) == windowed
+
+
+class TestTableBytes:
+    """Search refuses, before building any table, a half-table pair past the
+    byte budget that the falsifier's tables share."""
+
+    def test_byte_bound_refuses_before_any_table(self, monkeypatch):
+        size = 8 * 8 << 8
+        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size)
+        maximize_min_norm(SearchSpec(d=2, n=8, restarts=1, steps=1))  # exactly at the bound
+
+        def no_table(rows):
+            raise AssertionError("a table was built before the refusal")
+
+        search._half_table.cache_clear()
+        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size - 1)
+        monkeypatch.setattr(search, "sign_columns", no_table)
+        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
+            maximize_min_norm(SearchSpec(d=2, n=8, restarts=1, steps=1))
+        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
+            parity_sweep(1, 8, restarts=1, steps=1)
+
+    def test_sweep_refuses_its_largest_n_before_any_search(self, monkeypatch):
+        monkeypatch.setattr(search, "maximize_min_norm", lambda spec: pytest.fail("searched"))
+        with pytest.raises(TooLarge):
+            parity_sweep(2, 30)
+
+    @pytest.mark.parametrize("d_max, n_max", [(0, 2), (2, 0), (-1, 3)])
+    def test_sweep_refuses_an_empty_grid(self, d_max, n_max):
+        with pytest.raises(ValueError, match="d_max >= 1 and n_max >= 1"):
+            parity_sweep(d_max, n_max)
 
 
 class TestParitySweep:
