@@ -65,6 +65,17 @@ grep -q '"best_value": "0.8659450082417959",' s11.json
 status=0
 signsum search --d 3 --n 30 --restarts 1 --steps 1 || status=$?
 test "$status" -eq 2
+# The table budget counts d: one restart's sums alone would take 16 GiB.
+status=0
+signsum search --d 4096 --n 20 --restarts 1 --steps 1 || status=$?
+test "$status" -eq 2
+# The sweep checks its largest d and n before its first search.
+status=0
+signsum sweep --dmax 4096 --nmax 20 || status=$?
+test "$status" -eq 2
+status=0
+signsum construct random:3:5:junk || status=$?
+test "$status" -eq 2
 python -c "import signsum, sys; assert 'mpmath' not in sys.modules"
 signsum falsify --construct random:3:10 --r 3 --budget 2
 signsum enumerate --construct random:3:12 --seed 5 --r 1.5 --out golden-census.json

@@ -57,7 +57,6 @@ from .errors import (
     OutOfRange,
     ParityMismatch,
     ProjectionTooLong,
-    TooLarge,
     TooManyClusters,
     TransitivityViolation,
 )
@@ -703,11 +702,6 @@ def parity_balance(config: VectorConfig, zeta: float | None = None, seed: int = 
 
 _ASCENT_LADDER = (0.5, 0.25, 0.12, 0.06, 0.03, 0.015, 0.008, 0.004, 0.002, 0.001)
 _MAX_SWEEPS_PER_STEP = 8
-# Byte budget for one call's sign tables: the falsifier's 2^n * (n + d) * 8,
-# the n inner products and the d coordinates of every signed sum, and the
-# search's half-table pair, 2^n * n * 8.  Keeps the falsifier to n <= 20 at
-# d <= 12 and the search to n <= 20.
-FALSIFIER_BYTES = 1 << 28
 # A batch of candidates scores at most max(2^n, _SCORES) sums at once.
 _SCORES = 1 << 12
 
@@ -749,7 +743,9 @@ def approximation_falsifier(
     2^n assignments, and absence of a witness is evidence, not proof.  Start
     points mix the zonotope centre, uniform coefficients, and points inside
     random d-dimensional sub-parallelotopes (the regions that cover the zonotope).
-    Raises TooLarge when the tables would pass FALSIFIER_BYTES.
+    Raises TooLarge when its tables, the n inner products and the d
+    coordinates of every signed sum (2^n * (n + d) * 8 bytes), would pass
+    ``core.TABLE_BYTES``, n <= 20 at d <= 12, before any is built.
 
     A candidate is scored only on the active sums, those within
     ``least_window`` of the least maintained norm^2 for a move of
@@ -776,10 +772,7 @@ def approximation_falsifier(
       + 4 sqrt(F): 4 sqrt(F) at k = 80n is the window's drift margin.
     """
     n, d = config.n, config.dim
-    check_enumerable(n)
-    if (size := (n + d) * 8 << n) > FALSIFIER_BYTES:  # before any table is built
-        raise TooLarge(f"the falsifier's tables for n = {n}, d = {d} take {size} bytes, "
-                       f"past FALSIFIER_BYTES = {FALSIFIER_BYTES}")
+    check_enumerable(n, (n + d) * 8 << n)  # before any table is built
     if not (-math.inf < r < math.inf):
         raise OutOfRange(f"r must be finite, got {r!r}")
     if budget < 1:

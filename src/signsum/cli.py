@@ -241,7 +241,7 @@ def cmd_decay(args, argv) -> int:
                     continue
                 config = constructions.construct_exponential(n, policy=policy)
             elif family == "orthomult":
-                mults = search_mod._balanced_odd_multiplicities(args.d, n)
+                mults = constructions.balanced_odd_multiplicities(args.d, n)
                 if mults is None:
                     continue
                 config = constructions.construct_orthonormal_multiplicity(args.d, mults)
@@ -261,22 +261,16 @@ def cmd_decay(args, argv) -> int:
 def _selftest_checks(seed: int):
     import numpy as np
 
-    from .constructions import (
-        construct_exponential,
-        construct_orthonormal_multiplicity,
-        pair_anti_aligned,
-        random_unit_config,
-    )
     from .geometry import ChordQuery, chord_length, distance_to_inner, inner_to_distance
 
     def check_exponential():
-        config = construct_exponential(5)
+        config = constructions.construct_exponential(5)
         report = enumerate_signed_sums(config, 1.0)
         assert report.hits == 8, report.hits
         assert report.probability == Fraction(1, 4)
 
     def check_parity_obstruction():
-        config = construct_orthonormal_multiplicity(3, (3, 1, 1))
+        config = constructions.construct_orthonormal_multiplicity(3, (3, 1, 1))
         value, _ = min_signed_norm(config)
         assert abs(value - math.sqrt(3)) < 1e-12
 
@@ -295,7 +289,7 @@ def _selftest_checks(seed: int):
 
     def check_greedy_prefix():
         for s in range(20):
-            config = random_unit_config(4, 11, seed=seed + s)
+            config = constructions.random_unit_config(4, 11, seed=seed + s)
             report = balancing.greedy_signs(config)
             rows = config.as_array()
             acc = np.zeros(4)
@@ -305,7 +299,7 @@ def _selftest_checks(seed: int):
 
     def check_eliminate():
         for s in range(20):
-            config = random_unit_config(3, 12, seed=seed + 100 + s)
+            config = constructions.random_unit_config(3, 12, seed=seed + 100 + s)
             rng = np.random.default_rng(seed + 100 + s)
             lam = rng.uniform(-1, 1, 12)
             res = balancing.eliminate(config, lam, k=3)
@@ -315,9 +309,9 @@ def _selftest_checks(seed: int):
             assert len(res.residual_indices) <= 3
 
     def check_anti_alignment():
-        config = construct_exponential(5)
+        config = constructions.construct_exponential(5)
         report = enumerate_signed_sums(config, 1.0)
-        assert pair_anti_aligned(report.argmin)
+        assert constructions.pair_anti_aligned(report.argmin)
 
     def check_search():
         result = search_mod.maximize_min_norm(

@@ -18,6 +18,9 @@ from .precision import PrecisionPolicy
 DEFAULT_DECAY = Fraction(1, 20)
 
 _KINDS = ("exponential", "orthonormal_multiplicity", "tight_family", "random_unit")
+# The most ':'-separated parts of each CLI spec, its kind included.
+_PARTS = dict(exponential=3, orthomult=3, orthonormal_multiplicity=3, tight=1, tight_family=1,
+              random=3, random_unit=3)
 
 
 @dataclass(frozen=True)
@@ -53,10 +56,12 @@ class ConstructionSpec:
     @classmethod
     def from_string(cls, text: str, seed: int = 0):
         """Parse CLI specs: ``exponential:N[:c]``, ``orthomult:D:m1,m2,...``,
-        ``tight``, ``random:D:N``."""
+        ``tight``, ``random:D:N``; a missing or an extra field is malformed."""
         parts = text.split(":")
         head = parts[0]
         try:
+            if len(parts) > _PARTS.get(head, len(parts)):
+                raise IndexError  # an extra field, refused as a missing one is
             if head == "exponential":
                 c = Fraction(parts[2]) if len(parts) > 2 else DEFAULT_DECAY
                 return cls("exponential", n=int(parts[1]), c=c)
@@ -168,6 +173,17 @@ def construct_orthonormal_multiplicity(d: int, multiplicities) -> VectorConfig:
         e = tuple(1.0 if j == axis else 0.0 for j in range(d))
         rows.extend([e] * m)
     return VectorConfig(dim=d, vectors=tuple(rows))
+
+
+def balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:
+    """All-odd multiplicities summing to n, as equal as possible, or None
+    when the parity makes that impossible."""
+    if d < 1:
+        raise ValueError(f"need d >= 1, got {d}")
+    if n < d or (n - d) % 2 != 0:
+        return None
+    pairs, extra = divmod((n - d) // 2, d)  # the first ``extra`` take one pair more
+    return [1 + 2 * (pairs + (i < extra)) for i in range(d)]
 
 
 def construct_tight_family(

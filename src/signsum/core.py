@@ -39,6 +39,10 @@ from .errors import AmbiguousClassification, DimensionMismatch, NormViolation, O
 from .precision import PrecisionPolicy
 
 ENUMERATION_CAP = 30
+# Byte budget for one call's tables over the signed sums, such as the
+# falsifier's and the search's, counted by the caller and checked by
+# ``check_enumerable`` before any table is built.
+TABLE_BYTES = 1 << 28
 
 _FLOAT_MAX = Fraction(sys.float_info.max)
 
@@ -266,10 +270,14 @@ def half_norms_sq(rows: np.ndarray):
             del norm_sq  # the caller alone decides when the chunk is freed
 
 
-def check_enumerable(n: int):
-    """Raise TooLarge when n is past ENUMERATION_CAP, read at call time."""
+def check_enumerable(n: int, table_bytes: int = 0):
+    """Raise TooLarge when n is past ENUMERATION_CAP or a call's tables of
+    ``table_bytes`` would pass TABLE_BYTES, both read at call time."""
     if n > ENUMERATION_CAP:
         raise TooLarge(f"n = {n} exceeds the enumeration cap {ENUMERATION_CAP}")
+    if table_bytes > TABLE_BYTES:
+        raise TooLarge(f"the tables for n = {n} take {table_bytes} bytes, "
+                       f"past TABLE_BYTES = {TABLE_BYTES}")
 
 
 def rounding_bound(rows, bits: int, radius=0, tolerance=0.0) -> float:

@@ -7,20 +7,22 @@ of spheres: perturb one vector at a time (only the 2^n partial sums touching
 that vector change), accept improvements, accept sideways moves with
 probability 1/2 to walk along ridges, and decay the perturbation scale
 geometrically.  Negation is exact, so the climb keeps only the eta_1 = +1
-half of the sign table, component-major, and sums each norm^2 over the
-components in index order.  Each restart's seeded generator draws its rows,
-then per WINDOW steps the picks, the noise and a tie coin per step.  A
-rejected proposal changes nothing, so a block's restarts climb in
-speculative rounds: each scores its next K proposals in one (R, K, d,
-2^(n-1)) array, then settles every restart on Python floats, writing back
-the first proposal it accepts and jumping past it.  Picks and noise are
-padded by K zero steps, so a round reads past the window's end without
-clipping.  K falls as the table grows and R restarts fit their sums,
-squares and padded window draws in LOCKSTEP_BYTES; no result depends on
-either.  From WINDOWED_SUMS sums up, a round scores its proposals only on
-the sums within ``least_window`` of some live restart's least norm: by the
-triangle inequality no other sum can become the least after a move, so
-trajectories and values keep their bits.  Restarts merge
+half of the sign table, one (n, 2^(n-1)) +-1 table, tabulates rows as
+columns.T @ rows, and sums each norm^2 over the components in index order.
+Each restart's seeded generator draws its rows, then per WINDOW steps the
+picks, the noise and a tie coin per step.  A rejected proposal changes
+nothing, so a block's restarts climb in speculative rounds: each scores its
+next K proposals in one (d, R, K, 2^(n-1)) array, then settles every
+restart on Python floats, writing back the first proposal it accepts and
+jumping past it.  Picks and noise are padded by K zero steps, so a round
+reads past the window's end without clipping.  K falls as the table grows
+and R restarts fit their sums, squares and padded window draws in
+LOCKSTEP_BYTES; no result depends on either.  From WINDOWED_SUMS sums up, a
+round scores its proposals only on the sums within ``least_window`` of some
+live restart's least norm: by the triangle inequality no other sum can
+become the least after a move, so trajectories and values keep their bits.
+A search whose table and one restart's arrays at K = 1 pass
+``core.TABLE_BYTES`` is refused before any table is built.  Restarts merge
 deterministically; the best value is re-verified by exact enumeration.
 """
 
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import balancing
+from .constructions import balanced_odd_multiplicities, construct_orthonormal_multiplicity
 from .core import VectorConfig, check_enumerable, least_window, min_signed_norm, sign_columns
-from .errors import TooLarge
 
 COUNTEREXAMPLE_MARGIN = 1e-6
 # Byte budget for a block of R restarts: a round's R * K * d * 2^(n-1) * 8
@@ -90,7 +91,7 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     maximum, ties to the lowest restart index.  A configuration beating
     sqrt(d-1) at mismatched parity is flagged as a counterexample candidate.
     """
-    _check_tables(spec.n)
+    check_enumerable(spec.n, _table_bytes(spec.d, spec.n))
     best_value = -1.0
     best_rows = None
     history: list[tuple[float, ...]] = []
@@ -105,10 +106,7 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
             exceeded = True
             break
 
-    config = VectorConfig(
-        dim=spec.d,
-        vectors=tuple(tuple(map(float, r)) for r in best_rows),
-    )
+    config = VectorConfig(spec.d, tuple(tuple(map(float, r)) for r in best_rows))
     exact_value, _ = min_signed_norm(config)
     if abs(exact_value - best_value) > 1e-9:
         raise AssertionError(
@@ -128,23 +126,23 @@ def maximize_min_norm(spec: SearchSpec) -> SearchResult:
     )
 
 
-def _check_tables(n: int):
-    """Raise TooLarge, before any table is built, past the enumeration cap or
-    when the half-table pair of 2^n * n * 8 bytes would pass the byte budget
-    that the falsifier's tables share, FALSIFIER_BYTES, read at call time."""
-    check_enumerable(n)
-    if (size := n * 8 << n) > balancing.FALSIFIER_BYTES:
-        raise TooLarge(f"the search's sign tables for n = {n} take {size} bytes, "
-                       f"past FALSIFIER_BYTES = {balancing.FALSIFIER_BYTES}")
+def _table_bytes(d: int, n: int) -> int:
+    """Bytes one restart holds at K = 1, at most: rows of 2^(n-1) floats for
+    the +-1 table (n), its sums and their norms^2 (d + 1), and then either a
+    round's sums and squares, which take in its gathered signs and sums, or
+    the settle's sums, squares and a running norm^2 (2d + 1); and its
+    window of draws."""
+    return ((n + 3 * d + 2) * 8 << (n - 1)) + WINDOW * (18 + 24 * d)
 
 
-def _norms_sq(sums: np.ndarray) -> np.ndarray:
-    """Norms^2 (..., m) of sums (..., d, m), each summed in component order
-    (add.reduce is not sequential at m = 1, d >= 8)."""
-    squares = sums * sums
-    total = squares[..., 0, :]
-    for k in range(1, sums.shape[-2]):
-        total = total + squares[..., k, :]
+def _norms_sq(sums: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Norms^2 (...) of sums (d, ...), summed in component order (add.reduce
+    is not sequential for one sum at d >= 8) into the first slab of their
+    squares (``out`` if given): in place, with no copy when they are C-contiguous."""
+    squares = np.multiply(sums, sums, out=out)
+    total = squares[0]
+    for square in squares[1:]:
+        total += square
     return total
 
 
@@ -154,16 +152,16 @@ def _least(norms_sq: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _half_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The eta_1 = +1 half of the n-vector sign table, read-only: C-contiguous
-    (2^(n-1), n), since BLAS's half @ rows may round by layout, and its
-    transpose, whose row i holds the signs of vector i: 2^n * n * 8 bytes.
-    ``_restarts`` keeps the last four sizes within LOCKSTEP_BYTES (n <= 13)
-    cached and builds a larger pair per call through ``__wrapped__``."""
-    half = np.ascontiguousarray(sign_columns(np.eye(n))[:, : 1 << (n - 1)].T)
-    columns = half.T.copy()
-    half.flags.writeable = columns.flags.writeable = False
-    return half, columns
+def _half_table(n: int) -> np.ndarray:
+    """The eta_1 = +1 half of the n-vector sign table, read-only: (n, 2^(n-1))
+    +-1 ``columns``, row i the signs of vector i, 2^(n-1) * n * 8 bytes.
+    ``_restarts`` keeps the last four sizes within LOCKSTEP_BYTES (n <= 14)
+    cached and builds a larger one per call through ``__wrapped__``."""
+    eye = np.eye(n)
+    columns = sign_columns(eye[1:])
+    columns += eye[0][:, None]
+    columns.flags.writeable = False
+    return columns
 
 
 def _restarts(spec: SearchSpec):
@@ -171,22 +169,22 @@ def _restarts(spec: SearchSpec):
     climbing one block of restarts at a time.  A block's size counts, per
     restart, K proposals of sums and squares, a window of draws with its K
     steps of padding, and on a windowed table its sums' norms^2."""
-    small = (8 << spec.n) * spec.n <= LOCKSTEP_BYTES
-    tables = (_half_table if small else _half_table.__wrapped__)(spec.n)
     sums = 1 << (spec.n - 1)
+    small = spec.n * 8 * sums <= LOCKSTEP_BYTES
+    columns = (_half_table if small else _half_table.__wrapped__)(spec.n)
     proposal = 2 * sums * spec.d * 8  # its sums and their squares
     ahead = min(_proposals(sums), max(1, LOCKSTEP_BYTES // proposal))
     # A restart's window holds 8 + 8d bytes of picks and kicks for each of
     # its width + K steps, the K <= width last ones the zero padding a round
     # may read past the window's end, and a coin byte per step, all drawn
     # into place: at most 17 + 16d bytes a step.  The rest of 18 + 24d is
-    # left to a round's (R, K, 2^(n-1)) and (R, K, d) arrays.
+    # left to a round's (R, K, d) arrays and the restart's own sums.
     window = WINDOW * (18 + 24 * spec.d)
     norms = 8 * sums if sums >= WINDOWED_SUMS else 0
     block = max(1, LOCKSTEP_BYTES // (ahead * proposal + window + norms))
     for first in range(0, spec.restarts, block):
         chunk = range(first, min(first + block, spec.restarts))
-        yield from zip(*_climb(spec, tables, chunk, ahead))
+        yield from zip(*_climb(spec, columns, chunk, ahead))
 
 
 def _proposals(sums: int) -> int:
@@ -209,10 +207,10 @@ WINDOWED_SUMS = 1 << 7
 WINDOW_SHARE = 0.5
 
 
-def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
+def _climb(spec: SearchSpec, columns: np.ndarray, restarts: range, ahead: int):
     """Run the given restarts together on one (R, d, 2^(n-1)) sum table, in
     rounds of K = ``ahead`` proposals (fewer in a shorter window), with the
-    ``_half_table(n)`` pair ``tables``; return each restart's rows, trace
+    ``_half_table(n)`` signs ``columns``; return each restart's rows, trace
     and settled value.  A round settles each restart on Python floats: the
     first proposal that beats its value, or ties it on heads, is written
     back and its cursor jumps past it, else past all K.  The scan stops at
@@ -227,17 +225,17 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
     is the least over the whole table, to the bit.  A proposal accepted in
     a windowed round is added to the restart's full row, whose norms^2 are
     summed afresh, so the stored sums keep the bits of the full update."""
-    half, columns = tables
     rngs = [np.random.default_rng([spec.seed, r]) for r in restarts]
     count, n, d = len(rngs), spec.n, spec.d
     rows = np.array([rng.standard_normal((n, d)) for rng in rngs])
     rows /= np.linalg.norm(rows, axis=2, keepdims=True)
     vectors = rows.reshape(-1, d)  # row r * n + i is vector i of restart r
-    sums = (half @ rows).transpose(0, 2, 1).copy()
-    totals = _norms_sq(sums)
+    sums = (columns.T @ rows).transpose(0, 2, 1).copy()
+    totals = _norms_sq(sums.transpose(1, 0, 2))
     values = _least(totals).tolist()
     windowed = sums.shape[2] >= WINDOWED_SUMS
-    norms = totals if windowed else None
+    norms = totals.copy() if windowed else None
+    del totals
     traces = [[v] for v in values]
     everyone = np.arange(count)[:, None]
     step = spec.step_init
@@ -258,6 +256,9 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
         step = np.multiply.accumulate(sizes, out=sizes)[-1] * spec.step_decay
         kicks.reshape(count, span, d)[:, :width] *= sizes[:, None]
         offsets = np.arange(k)
+        # A round's sums and squares: arrays that size made and freed every
+        # round were faulted in afresh and made a search up to twice as slow.
+        buffers = np.empty((2, count * k * d * sums.shape[2]))
         cursor = [0] * count
         live = list(range(count))
         while live:
@@ -271,33 +272,47 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
             # and einsum differ even there.
             moved /= np.sqrt(np.vecdot(moved, moved))[..., None]
             update = moved - old
-            signs, base, near = columns, sums, None
+            near = None
             if windowed:
                 shifts = np.sqrt(np.vecdot(update, update)).max(axis=1).tolist()
                 within = np.zeros(sums.shape[2], dtype=bool)
                 for r, shift in zip(live, shifts):
                     within |= norms[r] <= least_window(values[r], shift)
                 kept = within.nonzero()[0]
-                if kept.size <= WINDOW_SHARE * within.size:
-                    near = kept
-                    signs, base = columns.take(near, axis=1), sums.take(near, axis=2)
-            signs = signs.take(picked.ravel(), axis=0)[:, None, :]
-            new_sums = (signs * update.reshape(-1, d, 1)).reshape(len(live), k, d, -1)
+                near = kept if kept.size <= WINDOW_SHARE * within.size else None
+            # The picked vectors' signs go to the squares' buffer (mode="clip":
+            # no copy); on a window, as whole rows to the sums' buffer first.
+            whole = buffers[int(near is None), : picked.size * columns.shape[1]]
+            signs = columns.take(picked.ravel(), axis=0, mode="clip",
+                                 out=whole.reshape(picked.size, -1))
+            if near is not None:
+                signs = signs.take(near, axis=1, mode="clip", out=buffers[
+                    1, : picked.size * near.size].reshape(picked.size, -1))
+            # (d, R, K, sums), component-major for _norms_sq.
+            new_sums = np.multiply(update.reshape(-1, d).T[:, :, None], signs,
+                                   out=buffers[0, : d * signs.size].reshape(d, picked.size, -1))
+            new_sums = new_sums.reshape(d, len(live), k, -1)
+            # The signs are spent: a window's sums go to the squares' buffer.
+            base = sums if near is None else sums.take(near, axis=2, mode="clip", out=buffers[
+                1, : count * d * near.size].reshape(count, d, -1))
             # + commutes: the bits of sums + update.
-            new_sums += base[:, None] if who is everyone else base[who]
-            totals = _norms_sq(new_sums)
+            new_sums += (base[:, None] if who is everyone else base[who]).transpose(2, 0, 1, 3)
+            totals = _norms_sq(new_sums, buffers[1, : new_sums.size].reshape(new_sums.shape))
             for j, (r, new) in enumerate(zip(live, _least(totals).tolist())):
                 place, current = cursor[r], values[r]
                 for i, value in enumerate(new[: width - place]):
                     if value >= current and (value > current or heads[r, place + i]):
                         rows[r, picked[j, i]] = moved[j, i]
                         if near is None:
-                            sums[r] = new_sums[j, i]
+                            sums[r] = new_sums[:, j, i]
                             if windowed:
                                 norms[r] = totals[j, i]
                         else:
-                            sums[r] += columns[picked[j, i]] * update[j, i, :, None]
-                            norms[r] = _norms_sq(sums[r])
+                            # The buffers, read no more this round, hold the update.
+                            one = slice(sums[r].size)
+                            sums[r] += np.multiply(columns[picked[j, i]], update[j, i, :, None],
+                                                   out=buffers[0, one].reshape(d, -1))
+                            norms[r] = _norms_sq(sums[r], buffers[1, one].reshape(d, -1))
                         values[r] = value
                         if value > current:
                             traces[r].append(value)
@@ -306,26 +321,12 @@ def _climb(spec: SearchSpec, tables, restarts: range, ahead: int):
                 else:
                     place += k
                 cursor[r] = place
-            del totals  # before the next round builds its sums, as new_sums is replaced
             live = [r for r in live if cursor[r] < width]
-        del picks, kicks, heads  # the window goes before the next one is drawn
+        # The window, and the round arrays that view its buffers, go before the next is drawn.
+        del picks, kicks, heads, buffers, whole, signs, base, new_sums, totals
     # Incremental updates drift; settle each restart's value from scratch
     # (the trace keeps the incremental values so it stays nondecreasing).
-    return rows, traces, _least(_norms_sq((half @ rows).transpose(0, 2, 1))).tolist()
-
-
-def _balanced_odd_multiplicities(d: int, n: int) -> list[int] | None:
-    """All-odd multiplicities summing to n, as equal as possible, or None
-    when the parity makes that impossible."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
-    if n < d or (n - d) % 2 != 0:
-        return None
-    mults = [1] * d
-    spare = (n - d) // 2
-    for i in range(spare):
-        mults[i % d] += 2
-    return mults
+    return rows, traces, _least(_norms_sq((columns.T @ rows).transpose(2, 0, 1))).tolist()
 
 
 def parity_sweep(
@@ -342,33 +343,19 @@ def parity_sweep(
     expected pattern is ~sqrt(d) at matched parity and strictly smaller
     otherwise.
     """
-    from .constructions import construct_orthonormal_multiplicity
-
     if d_max < 1 or n_max < 1:
         raise ValueError(f"need d_max >= 1 and n_max >= 1, got {d_max} and {n_max}")
-    _check_tables(n_max)  # before the first search of the grid
+    check_enumerable(n_max, _table_bytes(d_max, n_max))  # before the first search of the grid
     table = []
     for d in range(1, d_max + 1):
         for n in range(1, n_max + 1):
-            result = maximize_min_norm(
-                SearchSpec(d=d, n=n, restarts=restarts, steps=steps, seed=seed)
-            )
-            best = result.best_value
-            source = "search"
-            mults = _balanced_odd_multiplicities(d, n)
+            spec = SearchSpec(d=d, n=n, restarts=restarts, steps=steps, seed=seed)
+            best, source = maximize_min_norm(spec).best_value, "search"
+            mults = balanced_odd_multiplicities(d, n)
             if mults is not None:
-                structured = construct_orthonormal_multiplicity(d, mults)
-                value, _ = min_signed_norm(structured)
+                value, _ = min_signed_norm(construct_orthonormal_multiplicity(d, mults))
                 if value > best:
-                    best = value
-                    source = "orthonormal-multiplicity"
-            table.append(
-                {
-                    "d": d,
-                    "n": n,
-                    "parity": "matched" if n % 2 == d % 2 else "mismatched",
-                    "best_value": best,
-                    "source": source,
-                }
-            )
+                    best, source = value, "orthonormal-multiplicity"
+            table.append({"d": d, "n": n, "parity": "matched" if n % 2 == d % 2 else "mismatched",
+                          "best_value": best, "source": source})
     return table

@@ -1031,15 +1031,15 @@ class TestMaintainedTable:
     def test_byte_bound_refuses_before_any_table(self, monkeypatch):
         config = random_unit_config(2, 8, seed=0)
         size = (8 + 2) * 8 << 8
-        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size)
+        monkeypatch.setattr(core, "TABLE_BYTES", size)
         approximation_falsifier(config, 1.0, budget=1)  # exactly at the bound
 
         def no_table(rows):
             raise AssertionError("a table was built before the refusal")
 
-        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size - 1)
+        monkeypatch.setattr(core, "TABLE_BYTES", size - 1)
         monkeypatch.setattr(balancing, "sign_columns", no_table)
-        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
+        with pytest.raises(TooLarge, match="TABLE_BYTES"):
             approximation_falsifier(config, 1.0, budget=1)
 
 

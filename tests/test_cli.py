@@ -134,6 +134,14 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "ext:128:junk" in err
 
+    @pytest.mark.parametrize("spec", ["random:3:5:junk", "tight:extra", "orthomult:2:1,1:9",
+                                      "exponential:5:0.5:7"])
+    def test_trailing_construction_field_is_validation(self, workdir, capsys, spec):
+        """These specs used to build, and the manifest recorded the junk."""
+        assert main(["enumerate", "--construct", spec, "--r", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and spec in err
+
     def test_too_large_is_validation(self, workdir):
         assert main(["falsify", "--construct", "random:2:40", "--r", "1", "--budget", "1"]) == 2
 

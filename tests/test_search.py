@@ -5,15 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from signsum import balancing, core, search
+from signsum import core, search
+from signsum.constructions import balanced_odd_multiplicities
 from signsum.core import min_signed_norm
 from signsum.errors import TooLarge
-from signsum.search import (
-    SearchSpec,
-    _balanced_odd_multiplicities,
-    maximize_min_norm,
-    parity_sweep,
-)
+from signsum.search import SearchSpec, maximize_min_norm, parity_sweep
 
 from oracles import serial_search
 
@@ -163,18 +159,23 @@ class TestLockstep:
             SearchSpec(d=d, n=n, restarts=8, steps=60, seed=12, target=1.336))
         assert result.exceeded_target and 1 < len(result.history) < 8
 
-    @pytest.fixture(scope="class")
-    def traced_search(self):
-        """One d = 3, n = 4 search of 455 restarts, traced: its result, what
-        it leaves allocated, and its peak.  The caches fill outside."""
-        maximize_min_norm(SearchSpec(d=3, n=4, restarts=1, steps=1))
+    @staticmethod
+    def _traced(spec):
+        """The search traced: its result, what it leaves allocated, and its
+        peak.  The caches fill outside."""
+        maximize_min_norm(SearchSpec(d=spec.d, n=spec.n, restarts=1, steps=1))
         tracemalloc.start()
         try:
-            result = maximize_min_norm(SearchSpec(d=3, n=4, restarts=455, steps=300))
+            result = maximize_min_norm(spec)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         return result, kept, peak
+
+    @pytest.fixture(scope="class")
+    def traced_search(self):
+        """One d = 3, n = 4 search of 455 restarts, traced."""
+        return self._traced(SearchSpec(d=3, n=4, restarts=455, steps=300))
 
     def test_block_memory_within_lockstep_budget(self, traced_search):
         """A block's restarts share LOCKSTEP_BYTES between their round's sums
@@ -188,27 +189,35 @@ class TestLockstep:
 
     def test_block_peak_within_lockstep_bytes(self, traced_search):
         """A block's transient memory fits LOCKSTEP_BYTES.  The block size
-        counts the two (R, K, d, 2^(n-1)) arrays a round builds, its sums (the
-        update is added in place) and their squares, and 18 + 24d bytes a step
-        of each restart's window: its picks, noise and coins take 2 (9 + 8d)
-        while each restart's and the stacked copy coexist, then the kicks
-        overwrite the noise, so while rounds run the window holds 9 + 8d and
-        leaves 9 + 16d bytes a step (R * 14592 here) for the round's
-        (R, K, 2^(n-1)) and (R, K, d) arrays.  The previous window is freed
-        before the next is drawn.  The allowance is what the call leaves
-        allocated, the result with its 455 traces, which grows with the
-        restarts and not with a block."""
+        counts a round's two buffers of R * K * d * 2^(n-1) floats, its sums
+        (the update is added in place) and their squares, which hold the
+        gathered signs first, and 18 + 24d bytes a step of each restart's
+        window: its picks, noise and coins take 2 (9 + 8d) while each
+        restart's and the stacked copy coexist, then the kicks overwrite the
+        noise, so while rounds run the window holds 9 + 8d and leaves 9 + 16d
+        bytes a step (R * 14592 here) for the round's (R, K, d) arrays.  The
+        previous window is freed before the next is drawn.  The allowance is
+        what the call leaves allocated, the result with its 455 traces, which
+        grows with the restarts and not with a block.  On windowed tables,
+        d = 1, n = 13 (a restart a block) and d = 3, n = 8 (blocks of 6), K
+        and the block also count each restart's sums, their norms^2 and what
+        a windowed round gathers."""
         result, kept, peak = traced_search
         assert len(result.history) == 455
         assert peak <= search.LOCKSTEP_BYTES + kept
+        for spec in (SearchSpec(d=1, n=13, restarts=2, steps=300),
+                     SearchSpec(d=3, n=8, restarts=12, steps=300)):
+            result, kept, peak = self._traced(spec)
+            assert len(result.history) == spec.restarts
+            assert peak <= search.LOCKSTEP_BYTES + kept, spec
 
     def test_only_half_tables_within_lockstep_bytes_stay_cached(self):
-        """The n = 13 half table and its transpose (0.81 MiB) stay cached for
-        the next search; the n = 14 pair (1.75 MiB) is freed with its call."""
+        """The n = 14 half table (0.88 MiB) stays cached for the next search;
+        the n = 15 table (1.88 MiB) is freed with its call."""
         search._half_table.cache_clear()
-        maximize_min_norm(SearchSpec(d=1, n=14, restarts=1, steps=1))
+        maximize_min_norm(SearchSpec(d=1, n=15, restarts=1, steps=1))
         assert search._half_table.cache_info().currsize == 0
-        maximize_min_norm(SearchSpec(d=1, n=13, restarts=1, steps=1))
+        maximize_min_norm(SearchSpec(d=1, n=14, restarts=1, steps=1))
         assert search._half_table.cache_info().currsize == 1
 
 
@@ -329,25 +338,44 @@ class TestWindow:
         assert bool(calls) == windowed
 
 
+def _no_table(rows):
+    raise AssertionError("a table was built before the refusal")
+
+
 class TestTableBytes:
-    """Search refuses, before building any table, a half-table pair past the
-    byte budget that the falsifier's tables share."""
+    """Search refuses, before building any table, a +-1 table and one
+    restart's arrays at K = 1 past the byte budget in core."""
 
     def test_byte_bound_refuses_before_any_table(self, monkeypatch):
-        size = 8 * 8 << 8
-        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size)
+        # Rows of 2^7 floats for the table, a restart's sums and norms^2, and
+        # the settle's sums, squares and running norm^2; and a window of draws.
+        size = ((8 + 2 + 1 + 2 * 2 + 1) * 8 << 7) + search.WINDOW * (18 + 24 * 2)
+        monkeypatch.setattr(core, "TABLE_BYTES", size)
         maximize_min_norm(SearchSpec(d=2, n=8, restarts=1, steps=1))  # exactly at the bound
-
-        def no_table(rows):
-            raise AssertionError("a table was built before the refusal")
+        parity_sweep(2, 8, restarts=1, steps=1)
 
         search._half_table.cache_clear()
-        monkeypatch.setattr(balancing, "FALSIFIER_BYTES", size - 1)
-        monkeypatch.setattr(search, "sign_columns", no_table)
-        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
+        monkeypatch.setattr(core, "TABLE_BYTES", size - 1)
+        monkeypatch.setattr(search, "sign_columns", _no_table)
+        with pytest.raises(TooLarge, match="TABLE_BYTES"):
             maximize_min_norm(SearchSpec(d=2, n=8, restarts=1, steps=1))
-        with pytest.raises(TooLarge, match="FALSIFIER_BYTES"):
-            parity_sweep(1, 8, restarts=1, steps=1)
+        with pytest.raises(TooLarge, match="TABLE_BYTES"):
+            parity_sweep(2, 8, restarts=1, steps=1)
+
+    def test_byte_count_includes_d(self, monkeypatch):
+        """A wide search is refused on its sums, not only its sign table: at
+        d = 4096, n = 20 one restart's sums alone would take 16 GiB."""
+        search._half_table.cache_clear()
+        monkeypatch.setattr(search, "sign_columns", _no_table)
+        with pytest.raises(TooLarge, match="TABLE_BYTES"):
+            maximize_min_norm(SearchSpec(d=4096, n=20, restarts=1, steps=1))
+        with pytest.raises(TooLarge, match="TABLE_BYTES"):
+            parity_sweep(4096, 20)
+
+    @pytest.mark.parametrize("d, n, fits", [(3, 20, True), (3, 21, False)])
+    def test_limit_at_small_d(self, d, n, fits):
+        """At d = 3 the limit stays n <= 20."""
+        assert (search._table_bytes(d, n) <= core.TABLE_BYTES) == fits
 
     def test_sweep_refuses_its_largest_n_before_any_search(self, monkeypatch):
         monkeypatch.setattr(search, "maximize_min_norm", lambda spec: pytest.fail("searched"))
@@ -371,12 +399,12 @@ class TestParitySweep:
         assert table[(1, 3)]["best_value"] == pytest.approx(1.0, abs=1e-12)
 
     def test_odd_multiplicity_helper(self):
-        assert _balanced_odd_multiplicities(2, 6) == [3, 3]
-        assert _balanced_odd_multiplicities(3, 4) is None
-        assert _balanced_odd_multiplicities(2, 1) is None
-        assert _balanced_odd_multiplicities(3, 9) == [3, 3, 3]
+        assert balanced_odd_multiplicities(2, 6) == [3, 3]
+        assert balanced_odd_multiplicities(3, 4) is None
+        assert balanced_odd_multiplicities(2, 1) is None
+        assert balanced_odd_multiplicities(3, 9) == [3, 3, 3]
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_odd_multiplicity_helper_refuses_no_dimension(self, d):
         with pytest.raises(ValueError, match="need d >= 1"):
-            _balanced_odd_multiplicities(d, 5)
+            balanced_odd_multiplicities(d, 5)
